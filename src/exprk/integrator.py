@@ -12,9 +12,15 @@ arithmetic on identical operands in identical order per stage, which makes
 the two modes bitwise reproducible - the benchmark harness treats any
 mismatch as a correctness bug.
 
-The dense path assembles nothing per step beyond matrix-vector products: all
-phi matrices are cached once per (A, h). The matrix-free path evaluates each
-stage with a Krylov approximation of the phi combination instead.
+The dense path builds its phi cache once per (A, h) and then assembles
+nothing per step. For symmetric A the cache holds the eigenbasis Q and
+length-n tables of phi_j on the eigenvalues: F and each D_j enter basis
+coordinates once, every phi coefficient is an elementwise product there, and
+each stage and the update take one product with Q to come back (32 products
+with one n x n matrix per exprk6s16 step). For general A the cache holds
+dense phi matrices, the basis is the identity and each coefficient is a
+matrix-vector product. The matrix-free path evaluates each stage with a
+Krylov approximation of the phi combination instead.
 """
 
 from __future__ import annotations
@@ -55,8 +61,9 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class _StagePlan:
-    index: int
+class _Plan:
+    """One stage (node c) or the final update (c = 1) as cache entries."""
+
     c: float
     phi1: np.ndarray | None
     # rows: ((m, ((j, w), ...)), ...) sorted by phi index m
@@ -64,14 +71,7 @@ class _StagePlan:
     phim: dict
 
 
-@dataclass(frozen=True)
-class _FinalPlan:
-    phi1: np.ndarray | None
-    rows: tuple
-    phim: dict
-
-
-def _compile_rows(polys: dict, h_unused=None):
+def _compile_rows(polys: dict):
     """Group coefficient polynomials of one row/update by phi index."""
     by_m: dict[int, list] = {}
     for j in sorted(polys):
@@ -89,12 +89,16 @@ class StepContext:
     cache: PhiCache | None
     apply_A: object
     stage_plans: dict
-    final_plan: _FinalPlan
+    final_plan: _Plan
     krylov_tol: float = 1e-10
 
     @property
     def dense(self) -> bool:
         return self.cache is not None
+
+    def to_basis(self, v: np.ndarray) -> np.ndarray:
+        """Coordinates the stage combinations work in: the cache's basis, if any."""
+        return v if self.cache is None else self.cache.to_basis(v)
 
 
 def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False,
@@ -113,21 +117,18 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False,
         cache = build_phi_cache(A, h, scheme.nodes_used, kmax, workers=workers)
     apply_A = A if callable(A) else (lambda v: A @ v)
 
-    stage_plans = {}
-    for i in range(2, scheme.s + 1):
-        row = {j: scheme.a[(i, j)] for j in range(2, i) if (i, j) in scheme.a}
-        rows = _compile_rows(row)
-        phim = {}
-        phi1 = None
-        if cache is not None:
-            phi1 = cache.get(scheme.c[i], 1)
-            phim = {m: cache.get(scheme.c[i], m) for m, _ in rows}
-        stage_plans[i] = _StagePlan(index=i, c=float(scheme.c[i]), phi1=phi1,
-                                    rows=rows, phim=phim)
-    brows = _compile_rows(scheme.b)
-    fphi1 = cache.get(Fraction(1), 1) if cache is not None else None
-    fphim = {m: cache.get(Fraction(1), m) for m, _ in brows} if cache is not None else {}
-    final_plan = _FinalPlan(phi1=fphi1, rows=brows, phim=fphim)
+    def plan(c: Fraction, polys: dict) -> _Plan:
+        rows = _compile_rows(polys)
+        if cache is None:
+            return _Plan(c=float(c), phi1=None, rows=rows, phim={})
+        return _Plan(c=float(c), phi1=cache.entry(c, 1), rows=rows,
+                     phim={m: cache.entry(c, m) for m, _ in rows})
+
+    stage_plans = {
+        i: plan(scheme.c[i], {j: scheme.a[(i, j)] for j in range(2, i) if (i, j) in scheme.a})
+        for i in range(2, scheme.s + 1)
+    }
+    final_plan = plan(Fraction(1), scheme.b)
     return StepContext(scheme=scheme, h=float(h), cache=cache, apply_A=apply_A,
                        stage_plans=stage_plans, final_plan=final_plan,
                        krylov_tol=krylov_tol)
@@ -145,27 +146,37 @@ def _combo_vectors(h_eff: float, h: float, F: np.ndarray, rows, D) -> list:
     return vs
 
 
-def _eval_stage(ctx: StepContext, problem: SemilinearProblem, t, u, F, gn, D, i):
-    plan = ctx.stage_plans[i]
+def _increment(ctx: StepContext, plan: _Plan, F: np.ndarray, D) -> np.ndarray:
+    """c h phi_1(c hA) F + h sum_j a_j(hA) D_j for one stage or the update.
+
+    On the dense path F and the D_j are in the cache's basis coordinates and
+    the result is returned in the original ones.
+    """
     h = ctx.h
-    if ctx.dense:
-        acc = (plan.c * h) * (plan.phi1 @ F)
-        for m, terms in plan.rows:
-            v = np.zeros_like(F)
-            for j, w in terms:
-                v += w * D[j]
-            acc += h * (plan.phim[m] @ v)
-        U = u + acc
-    else:
+    if not ctx.dense:
         h_eff = plan.c * h
         vs = _combo_vectors(h_eff, h, F, plan.rows, D)
-        U = u + phi_combo_apply_krylov(ctx.apply_A, h_eff, vs, ctx.krylov_tol)
+        return phi_combo_apply_krylov(ctx.apply_A, h_eff, vs, ctx.krylov_tol)
+    cache = ctx.cache
+    acc = (plan.c * h) * cache.apply(plan.phi1, F)
+    for m, terms in plan.rows:
+        v = np.zeros_like(F)
+        for j, w in terms:
+            v += w * D[j]
+        acc += h * cache.apply(plan.phim[m], v)
+    return cache.from_basis(acc)
+
+
+def _eval_stage(ctx: StepContext, problem: SemilinearProblem, t, u, F, gn, D, i):
+    """Stage i's D_i, in the coordinates of F and D."""
+    plan = ctx.stage_plans[i]
+    U = u + _increment(ctx, plan, F, D)
     if not np.all(np.isfinite(U)):
         raise DivergenceError(stage=i)
-    Di = problem.g(t + plan.c * h, U) - gn
+    Di = problem.g(t + plan.c * ctx.h, U) - gn
     if not np.all(np.isfinite(Di)):
         raise DivergenceError(stage=i)
-    return U, Di
+    return ctx.to_basis(Di)
 
 
 def step(ctx: StepContext, problem: SemilinearProblem, t: float, u: np.ndarray,
@@ -175,9 +186,8 @@ def step(ctx: StepContext, problem: SemilinearProblem, t: float, u: np.ndarray,
     With an executor the stages of each group are evaluated concurrently;
     results are identical bit for bit either way.
     """
-    h = ctx.h
     u = np.asarray(u, dtype=float)
-    F = problem.f(t, u)
+    F = ctx.to_basis(problem.f(t, u))
     gn = problem.g(t, u)
     D: list = [None] * (ctx.scheme.s + 1)
     for group in ctx.scheme.groups:
@@ -189,20 +199,9 @@ def step(ctx: StepContext, problem: SemilinearProblem, t: float, u: np.ndarray,
             outcomes = [f.result() for f in futures]
         else:
             outcomes = [_eval_stage(ctx, problem, t, u, F, gn, D, i) for i in group]
-        for i, (_, Di) in zip(group, outcomes):
+        for i, Di in zip(group, outcomes):
             D[i] = Di
-    final = ctx.final_plan
-    if ctx.dense:
-        acc = h * (final.phi1 @ F)
-        for m, terms in final.rows:
-            v = np.zeros_like(F)
-            for j, w in terms:
-                v += w * D[j]
-            acc += h * (final.phim[m] @ v)
-        u_next = u + acc
-    else:
-        vs = _combo_vectors(h, h, F, final.rows, D)
-        u_next = u + phi_combo_apply_krylov(ctx.apply_A, h, vs, ctx.krylov_tol)
+    u_next = u + _increment(ctx, ctx.final_plan, F, D)
     if not np.all(np.isfinite(u_next)):
         raise DivergenceError(stage=None)
     return u_next
@@ -223,6 +222,8 @@ class TrajectoryResult:
 
 
 def _step_count(t0: float, t_end: float, h: float) -> int:
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h}")
     span = t_end - t0
     if span <= 0:
         raise ValueError(f"integration span must be positive, got [{t0}, {t_end}]")

@@ -27,6 +27,7 @@ import scipy.linalg
 
 __all__ = [
     "SERIES_RADIUS",
+    "CACHE_BUDGET_BYTES",
     "phi_scalar",
     "phi_scalar_all",
     "expm",
@@ -323,41 +324,85 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
     return _done(result, KrylovInfo(naug, False, True, float("nan")))
 
 
+# Largest working set build_phi_cache may allocate, in bytes. Above it the
+# build is refused with a ValueError instead of running the host out of memory.
+CACHE_BUDGET_BYTES = 4 * 2**30
+# Peak number of (kmax+1)n x (kmax+1)n arrays live during one augmented
+# exponential (scipy's scaling-and-squaring Pade; measured 8 to 9).
+_EXPM_ARRAYS = 9
+
+
 @dataclass
 class PhiCache:
-    """Immutable store of phi_j(c*h*A) matrices keyed by (node c, index j)."""
+    """Immutable store of phi_j(c*h*A) keyed by (node c, index j).
+
+    With a `basis` Q, A = Q diag(lam) Q^T is symmetric and each entry is the
+    read-only length-n table phi_j(c*h*lam): phi_j(c*h*A) acts on basis
+    coordinates Q^T v elementwise. Without one, each entry is the read-only
+    n x n matrix phi_j(c*h*A). `get` returns the matrix either way.
+    """
 
     operator_id: object
     h: float
     kmax: int
     entries: dict = field(default_factory=dict)
+    basis: np.ndarray | None = None
 
-    def get(self, c: Fraction, j: int) -> np.ndarray:
+    def entry(self, c: Fraction, j: int) -> np.ndarray:
+        """The stored table (with a basis) or matrix (without) for (c, j)."""
         key = (Fraction(c), j)
         if key not in self.entries:
             raise KeyError(f"phi cache has no entry for node {c}, index {j}")
         return self.entries[key]
+
+    def get(self, c: Fraction, j: int) -> np.ndarray:
+        """phi_j(c*h*A) as a read-only n x n matrix, formed on demand with a basis."""
+        entry = self.entry(c, j)
+        if self.basis is None:
+            return entry
+        Q = self.basis
+        mat = (Q * entry) @ Q.T
+        mat.setflags(write=False)
+        return mat
+
+    def apply(self, entry: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """An entry acting on v, with v in basis coordinates when there is a basis."""
+        return entry @ v if self.basis is None else entry * v
+
+    def to_basis(self, v: np.ndarray) -> np.ndarray:
+        return v if self.basis is None else self.basis.T @ v
+
+    def from_basis(self, v: np.ndarray) -> np.ndarray:
+        return v if self.basis is None else self.basis @ v
 
     @property
     def nodes(self):
         return sorted({c for (c, _) in self.entries})
 
 
-def _node_matrices_spectral(lam, Q, c: Fraction, h: float, kmax: int):
-    z = float(c) * h * lam
-    vals = phi_scalar_all(kmax, z)
-    return [(Q * vals[k]) @ Q.T for k in range(kmax + 1)]
+def _estimate_cache_bytes(n: int, nodes: int, kmax: int, symmetric: bool,
+                          workers: int | None) -> int:
+    """Bytes the build holds at its peak, roughly."""
+    if symmetric:
+        return 3 * n * n * 8  # A, the eigenbasis and the eigh workspace
+    concurrent = min(max(workers or 1, 1), nodes)
+    augmented = concurrent * _EXPM_ARRAYS * ((kmax + 1) * n) ** 2 * 8
+    return nodes * (kmax + 1) * n * n * 8 + augmented
 
 
 def build_phi_cache(A, h: float, nodes, kmax: int, *, operator_id=None,
                     workers: int | None = None) -> PhiCache:
     """phi_0..phi_kmax(c*h*A) for every node c, computed once per (A, h).
 
-    Exactly symmetric A goes through an eigendecomposition (one eigh, then a
-    scalar phi evaluation per eigenvalue), which is both faster and more
-    accurate for the stiff discrete Laplacians this cache exists for.
-    General matrices use the augmented block exponential per node; distinct
-    nodes may be computed concurrently via `workers`.
+    Exactly symmetric A goes through one eigendecomposition A = Q diag(lam) Q^T:
+    the cache keeps Q as its basis and stores phi_j(c*h*lam) as a length-n
+    table per (c, j), which is O(n) per entry and more accurate for the stiff
+    discrete Laplacians this cache exists for. General matrices store one
+    dense matrix per (c, j) from the augmented block exponential per node;
+    distinct nodes may be computed concurrently via `workers`.
+
+    Raises ValueError, before allocating, if the estimated peak memory of
+    the build exceeds CACHE_BUDGET_BYTES.
     """
     A = _as_square_matrix(A)
     if not math.isfinite(float(h)):
@@ -368,15 +413,26 @@ def build_phi_cache(A, h: float, nodes, kmax: int, *, operator_id=None,
     if any(c <= 0 for c in nodes):
         raise ValueError("cache nodes must be positive")
 
-    cache = PhiCache(operator_id=operator_id, h=float(h), kmax=kmax)
+    n = A.shape[0]
     symmetric = np.array_equal(A, A.T)
+    estimate = _estimate_cache_bytes(n, len(nodes), kmax, symmetric, workers)
+    if estimate > CACHE_BUDGET_BYTES:
+        raise ValueError(
+            f"phi cache for n={n} with {len(nodes) * (kmax + 1)} entries needs about "
+            f"{estimate} bytes ({estimate / 2**20:.1f} MiB), above the budget of "
+            f"{CACHE_BUDGET_BYTES} bytes"
+        )
+
+    cache = PhiCache(operator_id=operator_id, h=float(h), kmax=kmax)
     if symmetric:
         lam, Q = np.linalg.eigh(A)
+        Q.setflags(write=False)
+        cache.basis = Q
         for c in nodes:
-            mats = _node_matrices_spectral(lam, Q, c, float(h), kmax)
-            for j, mat in enumerate(mats):
-                mat.setflags(write=False)
-                cache.entries[(c, j)] = mat
+            tables = phi_scalar_all(kmax, float(c) * float(h) * lam)
+            tables.setflags(write=False)
+            for j in range(kmax + 1):
+                cache.entries[(c, j)] = tables[j]
         return cache
 
     def build(c):

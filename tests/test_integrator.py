@@ -1,0 +1,146 @@
+"""Fixed-step integrator: agreement with a stage-by-stage reference, order,
+reproducibility, exactness on linear decay and the error paths."""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from exprk.cli import run_convergence
+from exprk.integrator import DivergenceError, integrate, precompute
+from exprk.phi import build_phi_cache
+from exprk.problems import SemilinearProblem, error_at, make_heat1d, make_linear_decay
+from exprk.tableaus import SCHEME_NAMES, eval_coeff, scheme_by_name
+
+
+def reference_integrate(scheme, problem, t0, t_end, h):
+    """The scheme one stage at a time, every coefficient a matrix from cache.get.
+
+    U_i = u + c_i h phi_1(c_i hA) F + h sum_j a_ij(hA) D_j and
+    u'  = u + h phi_1(hA) F + h sum_i b_i(hA) D_i, with D_j = g(t + c_j h, U_j) - g(t, u).
+    """
+    cache = build_phi_cache(problem.A, h, scheme.nodes_used, max(scheme.max_phi_index, 1))
+    phi1 = {c: cache.get(c, 1) for c in scheme.nodes_used}
+    a = {key: eval_coeff(poly, cache) for key, poly in scheme.a.items()}
+    b = {i: eval_coeff(poly, cache) for i, poly in scheme.b.items()}
+    u = np.array(problem.u0, dtype=float)
+    for k in range(round((t_end - t0) / h)):
+        t = t0 + k * h
+        F = problem.f(t, u)
+        gn = problem.g(t, u)
+        D = {}
+        for i in range(2, scheme.s + 1):
+            c = scheme.c[i]
+            U = u + float(c) * h * (phi1[c] @ F)
+            for (row, j), coeff in a.items():
+                if row == i:
+                    U = U + h * (coeff @ D[j])
+            D[i] = problem.g(t + float(c) * h, U) - gn
+        u_next = u + h * (phi1[Fraction(1)] @ F)
+        for i, coeff in b.items():
+            u_next = u_next + h * (coeff @ D[i])
+        u = u_next
+    return u
+
+
+def _relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def _nonsymmetric_problem(n=8):
+    """Random non-symmetric, diagonally damped A with a smooth nonlinearity."""
+    rng = np.random.default_rng(41)
+    A = -6.0 * np.eye(n) + rng.standard_normal((n, n))
+    A.setflags(write=False)
+
+    def g(t, u):
+        return np.sin(u) + np.cos(t)
+
+    return SemilinearProblem(name="nonsym", n=n, A=A, apply_A=lambda v: A @ v, g=g,
+                             u0=rng.standard_normal(n), dx=1.0 / (n + 1))
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_eigenbasis_path_matches_reference_on_heat1d(name):
+    scheme, problem = scheme_by_name(name), make_heat1d(64)
+    assert precompute(scheme, problem.A, 0.125).cache.basis is not None
+    got = integrate(scheme, problem, 0.0, 1.0, 0.125).state
+    want = reference_integrate(scheme, problem, 0.0, 1.0, 0.125)
+    assert _relative_gap(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_general_path_matches_reference_on_nonsymmetric_operator(name):
+    scheme, problem = scheme_by_name(name), _nonsymmetric_problem()
+    assert precompute(scheme, problem.A, 0.25).cache.basis is None
+    got = integrate(scheme, problem, 0.0, 1.0, 0.25).state
+    want = reference_integrate(scheme, problem, 0.0, 1.0, 0.25)
+    assert np.all(np.isfinite(got))
+    assert _relative_gap(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("problem", [make_heat1d(64), _nonsymmetric_problem()],
+                         ids=["eigenbasis", "general"])
+def test_runs_are_bitwise_reproducible_in_both_modes(problem):
+    scheme = scheme_by_name("exprk6s16")
+    first = integrate(scheme, problem, 0.0, 1.0, 0.125).state
+    again = integrate(scheme, problem, 0.0, 1.0, 0.125).state
+    concurrent = integrate(scheme, problem, 0.0, 1.0, 0.125, mode="concurrent").state
+    assert first.tobytes() == again.tobytes() == concurrent.tobytes()
+
+
+@pytest.mark.parametrize("h", [1.0, 0.25])
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_linear_decay_is_exact_to_roundoff(name, h):
+    problem = make_linear_decay()
+    result = integrate(scheme_by_name(name), problem, 0.0, 1.0, h)
+    assert error_at(problem, result.state, 1.0) <= 1e-12
+
+
+# Lower bounds on every pairwise observed order over h = 1/2 .. 1/16 on heat1d
+# at n = 200. At h = 1/32 the sixth-order errors (~2e-14) reach roundoff and
+# the last slope moves with rounding, so the study stops at 1/16.
+ORDER_FLOORS = {"exprk6s16": 5.4, "exprk6s15": 5.4, "expk2": 1.4, "expeuler": 1.0}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_FLOORS))
+def test_observed_order_on_heat1d(name):
+    steps = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
+    report = run_convergence(name, "heat1d", steps=steps, n=200)
+    orders = [row.observed_order for row in report.rows[1:]]
+    assert len(orders) == 3
+    assert min(orders) >= ORDER_FLOORS[name], orders
+
+
+def _nan_after_half(problem):
+    def g(t, u):
+        return problem.g(t, u) if t <= 0.5 else np.full_like(u, np.nan)
+
+    return replace(problem, g=g)
+
+
+@pytest.mark.parametrize("name, stage, step_index", [
+    # stage 2 of the step from t = 0.5 is the first g call past 0.5
+    ("exprk6s16", 2, 4),
+    # no stages: F itself goes non-finite in the step from t = 0.625
+    ("expeuler", None, 5),
+])
+def test_divergence_error_reports_where(name, stage, step_index):
+    problem = _nan_after_half(make_heat1d(32))
+    with pytest.raises(DivergenceError) as caught:
+        integrate(scheme_by_name(name), problem, 0.0, 1.0, 0.125)
+    err = caught.value
+    assert (err.stage, err.step_index, err.t, err.h) == (stage, step_index,
+                                                        step_index * 0.125, 0.125)
+
+
+def test_rejects_step_that_does_not_divide_the_interval():
+    with pytest.raises(ValueError, match="does not divide"):
+        integrate(scheme_by_name("expeuler"), make_heat1d(16), 0.0, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.25, float("nan")])
+def test_rejects_nonpositive_step(h):
+    with pytest.raises(ValueError, match="must be positive"):
+        integrate(scheme_by_name("expeuler"), make_heat1d(16), 0.0, 1.0, h)

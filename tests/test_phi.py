@@ -366,6 +366,37 @@ class TestPhiCache:
         assert len(make_exprk6s15().nodes_used) == 9
         assert len(make_exprk6s16().nodes_used) == 5
 
+    def test_symmetric_path_stores_readonly_tables_and_basis(self):
+        rng = np.random.default_rng(22)
+        A = rng.standard_normal((6, 6))
+        A = A + A.T
+        cache = build_phi_cache(A, 0.3, [Fraction(1, 2), Fraction(1)], 3)
+        Q = cache.basis
+        assert np.allclose(Q.T @ Q, np.eye(6), atol=1e-14)
+        assert len(cache.entries) == 8
+        for table in cache.entries.values():
+            assert table.shape == (6,)
+            with pytest.raises(ValueError):
+                table[0] = 99.0
+        v = rng.standard_normal(6)
+        applied = cache.from_basis(cache.apply(cache.entry(Fraction(1, 2), 2),
+                                               cache.to_basis(v)))
+        assert np.allclose(applied, cache.get(Fraction(1, 2), 2) @ v, rtol=1e-13, atol=1e-15)
+
+    def test_budget_refuses_oversized_build(self, monkeypatch):
+        import exprk.phi as phimod
+
+        n, nodes = 16, [Fraction(1, 2), Fraction(1)]
+        symmetric = np.diag(np.arange(1.0, n + 1))
+        general = symmetric + np.triu(np.ones((n, n)), 1)
+        monkeypatch.setattr(phimod, "CACHE_BUDGET_BYTES", 3 * n * n * 8)
+        assert build_phi_cache(symmetric, 0.1, nodes, 5).basis is not None
+        with pytest.raises(ValueError, match=r"n=16 with 12 entries needs about \d+ bytes"):
+            build_phi_cache(general, 0.1, nodes, 5)
+        monkeypatch.setattr(phimod, "CACHE_BUDGET_BYTES", 3 * n * n * 8 - 1)
+        with pytest.raises(ValueError, match=r"n=16 with 12 entries"):
+            build_phi_cache(symmetric, 0.1, nodes, 5)
+
 
 class TestPhiSeriesOracleSuite:
     def test_phi_all_dense_vs_extended_precision_series(self):
