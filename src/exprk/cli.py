@@ -8,8 +8,9 @@ integrate  single integration run, one CSV row
 bench      sequential vs concurrent timing (outputs must match bitwise)
 trees      list the condition trees up to a given order
 
-Exit codes: 0 on success, 1 when a condition or consistency check fails,
-2 on usage errors. All reports are CSV with a header row, UTF-8, LF.
+Exit codes: 0 on success, 1 when a condition or consistency check fails
+or an integration diverges, 2 on usage errors. All reports are CSV with a
+header row, UTF-8, LF.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .conditions import DEFAULT_SEED, DEFAULT_TOLERANCE, check_scheme
-from .integrator import integrate, precompute
+from .integrator import DivergenceError, integrate, precompute
 from .problems import PROBLEM_FACTORIES, error_at, problem_by_name
 from .tableaus import SCHEME_NAMES, scheme_by_name
 from .trees import enumerate_trees
@@ -302,6 +303,9 @@ def main(argv=None) -> int:
             parser.error("trees supports orders 2..8")
     try:
         return args.func(args)
+    except DivergenceError as err:
+        print(f"{args.command}: {err}", file=sys.stderr)
+        return 1
     except (KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -6,21 +6,26 @@ One step from u at time t with step h reads
     u'   = u +     h phi_1(hA)     F(t, u) + h sum_i   b_i(hA)  D_i,
 
 with D_j = g(t + c_j h, U_j) - g(t, u). Stages are evaluated group by
-group; stages inside a group read only earlier groups' D values, so they can
-run concurrently. Concurrent and sequential execution perform identical
-arithmetic on identical operands in identical order per stage, which makes
-the two modes bitwise reproducible - the benchmark harness treats any
-mismatch as a correctness bug.
+group; stages inside a group read only earlier groups' D values, so a
+group's stage values come from one combination and its g calls can run
+concurrently. Only the g calls run on the executor, so concurrent and
+sequential execution perform identical arithmetic and are bitwise
+reproducible - the benchmark harness treats any mismatch as a correctness
+bug.
 
 The dense path builds its phi cache once per (A, h) and then assembles
 nothing per step. For symmetric A the cache holds the eigenbasis Q and
-length-n tables of phi_j on the eigenvalues: F and each D_j enter basis
-coordinates once, every phi coefficient is an elementwise product there, and
-each stage and the update take one product with Q to come back (32 products
-with one n x n matrix per exprk6s16 step). For general A the cache holds
-dense phi matrices, the basis is the identity and each coefficient is a
-matrix-vector product. The matrix-free path evaluates each stage with a
-Krylov approximation of the phi combination instead.
+length-n tables of phi_j on the eigenvalues, and precompute folds each
+coefficient a_ij(z) = sum_m w_m phi_m(c_i z) into one table on the
+eigenvalues. F goes into basis coordinates once, each group's increments
+are one contraction of its stacked tables with the stacked D_j, and one
+product with Q brings the group back; the group's D_j go into the basis
+with one more. That is 12 products with one n x n matrix per exprk6s16
+step: one for F, two per group and one for the update. For general A the
+cache holds dense phi matrices, the basis is the identity and each stage
+sums matrix-vector products, one per phi index. The matrix-free path
+evaluates each stage with a Krylov approximation of the phi combination
+instead.
 """
 
 from __future__ import annotations
@@ -71,6 +76,23 @@ class _Plan:
     phim: dict
 
 
+@dataclass(frozen=True)
+class _Group:
+    """Stages combined together, one row each, or the final update as one row.
+
+    `stages` numbers the rows (empty for the update). The combination reads
+    the rows `reads` of the step's D block, whose row 1 holds F with
+    coefficient c_i phi_1(c_i hA). With an eigenbasis, tables[r, k] is row
+    r's coefficient of D[reads[k]] on the eigenvalues, its phi polynomial
+    folded into one table.
+    """
+
+    stages: tuple
+    plans: tuple
+    reads: tuple
+    tables: np.ndarray | None
+
+
 def _compile_rows(polys: dict):
     """Group coefficient polynomials of one row/update by phi index."""
     by_m: dict[int, list] = {}
@@ -78,6 +100,14 @@ def _compile_rows(polys: dict):
         for m, w in polys[j].terms:
             by_m.setdefault(m, []).append((j, float(w)))
     return tuple((m, tuple(by_m[m])) for m in sorted(by_m))
+
+
+def _fold(cache: PhiCache, c: Fraction, terms) -> np.ndarray:
+    """sum_m w_m phi_m(c h lam) over (m, w) in terms: one coefficient as one table."""
+    table = np.zeros_like(cache.entry(c, 1))
+    for m, w in terms:
+        table += float(w) * cache.entry(c, m)
+    return table
 
 
 @dataclass
@@ -88,13 +118,23 @@ class StepContext:
     h: float
     cache: PhiCache | None
     apply_A: object
-    stage_plans: dict
-    final_plan: _Plan
+    groups: tuple
+    update: _Group
     krylov_tol: float = 1e-10
 
     @property
     def dense(self) -> bool:
         return self.cache is not None
+
+    @property
+    def stage_plans(self) -> dict:
+        """Each stage's plan by stage number; the phi terms its row combines."""
+        return {i: p for g in self.groups for i, p in zip(g.stages, g.plans)}
+
+    @property
+    def final_plan(self) -> _Plan:
+        """The final update's plan."""
+        return self.update.plans[0]
 
     def to_basis(self, v: np.ndarray) -> np.ndarray:
         """Coordinates the stage combinations work in: the cache's basis, if any."""
@@ -103,7 +143,7 @@ class StepContext:
 
 def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False,
                krylov_tol: float = 1e-10, workers: int | None = None) -> StepContext:
-    """Build the phi cache (dense path) and the per-stage evaluation plans.
+    """Build the phi cache (dense path) and the per-group evaluation plans.
 
     A may be a dense matrix or, with krylov=True, any operator action; in the
     latter case no cache is built and stages use Krylov evaluations.
@@ -124,14 +164,27 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False,
         return _Plan(c=float(c), phi1=cache.entry(c, 1), rows=rows,
                      phim={m: cache.entry(c, m) for m, _ in rows})
 
-    stage_plans = {
-        i: plan(scheme.c[i], {j: scheme.a[(i, j)] for j in range(2, i) if (i, j) in scheme.a})
-        for i in range(2, scheme.s + 1)
-    }
-    final_plan = plan(Fraction(1), scheme.b)
+    def group(stages: tuple, nodes: list, polys: list) -> _Group:
+        plans = tuple(plan(c, p) for c, p in zip(nodes, polys))
+        reads = (1,) + tuple(sorted({j for p in polys for j in p}))
+        tables = None
+        if cache is not None and cache.basis is not None:
+            tables = np.array([
+                [_fold(cache, c, [(1, c)])]
+                + [_fold(cache, c, p[j].terms if j in p else ()) for j in reads[1:]]
+                for c, p in zip(nodes, polys)
+            ])
+            tables.setflags(write=False)
+        return _Group(stages=stages, plans=plans, reads=reads, tables=tables)
+
+    groups = tuple(
+        group(g, [scheme.c[i] for i in g],
+              [{j: scheme.a[(i, j)] for j in range(2, i) if (i, j) in scheme.a} for i in g])
+        for g in scheme.groups
+    )
+    update = group((), [Fraction(1)], [scheme.b])
     return StepContext(scheme=scheme, h=float(h), cache=cache, apply_A=apply_A,
-                       stage_plans=stage_plans, final_plan=final_plan,
-                       krylov_tol=krylov_tol)
+                       groups=groups, update=update, krylov_tol=krylov_tol)
 
 
 def _combo_vectors(h_eff: float, h: float, F: np.ndarray, rows, D) -> list:
@@ -146,62 +199,67 @@ def _combo_vectors(h_eff: float, h: float, F: np.ndarray, rows, D) -> list:
     return vs
 
 
-def _increment(ctx: StepContext, plan: _Plan, F: np.ndarray, D) -> np.ndarray:
-    """c h phi_1(c hA) F + h sum_j a_j(hA) D_j for one stage or the update.
+def _increments(ctx: StepContext, group: _Group, D: np.ndarray) -> np.ndarray:
+    """h (c_i phi_1(c_i hA) F + sum_j a_ij(hA) D_j), one row per row of the group.
 
-    On the dense path F and the D_j are in the cache's basis coordinates and
-    the result is returned in the original ones.
+    D[1] holds F and D[j] stage j's increment, in the cache's basis
+    coordinates on the dense path; the result is in the original ones. With
+    an eigenbasis the whole group is one contraction of its folded tables
+    and one product with the basis; otherwise each row sums its phi terms.
     """
     h = ctx.h
-    if not ctx.dense:
-        h_eff = plan.c * h
-        vs = _combo_vectors(h_eff, h, F, plan.rows, D)
-        return phi_combo_apply_krylov(ctx.apply_A, h_eff, vs, ctx.krylov_tol)
-    cache = ctx.cache
-    acc = (plan.c * h) * cache.apply(plan.phi1, F)
-    for m, terms in plan.rows:
-        v = np.zeros_like(F)
-        for j, w in terms:
-            v += w * D[j]
-        acc += h * cache.apply(plan.phim[m], v)
-    return cache.from_basis(acc)
+    if group.tables is not None:
+        coords = np.einsum("rkn,kn->rn", group.tables, D[list(group.reads)])
+        return ctx.cache.from_basis(h * coords)
+    F = D[1]
+    rows = []
+    for plan in group.plans:
+        if ctx.dense:
+            acc = (plan.c * h) * ctx.cache.apply(plan.phi1, F)
+            for m, terms in plan.rows:
+                v = np.zeros_like(F)
+                for j, w in terms:
+                    v += w * D[j]
+                acc += h * ctx.cache.apply(plan.phim[m], v)
+        else:
+            h_eff = plan.c * h
+            vs = _combo_vectors(h_eff, h, F, plan.rows, D)
+            acc = phi_combo_apply_krylov(ctx.apply_A, h_eff, vs, ctx.krylov_tol)
+        rows.append(acc)
+    return np.stack(rows)
 
 
-def _eval_stage(ctx: StepContext, problem: SemilinearProblem, t, u, F, gn, D, i):
-    """Stage i's D_i, in the coordinates of F and D."""
-    plan = ctx.stage_plans[i]
-    U = u + _increment(ctx, plan, F, D)
-    if not np.all(np.isfinite(U)):
-        raise DivergenceError(stage=i)
-    Di = problem.g(t + plan.c * ctx.h, U) - gn
-    if not np.all(np.isfinite(Di)):
-        raise DivergenceError(stage=i)
-    return ctx.to_basis(Di)
+def _check_finite(block: np.ndarray, stages: tuple) -> None:
+    """Raise DivergenceError naming the first stage whose row is not finite."""
+    bad = ~np.isfinite(block).all(axis=1)
+    if bad.any():
+        raise DivergenceError(stage=stages[int(np.argmax(bad))])
 
 
 def step(ctx: StepContext, problem: SemilinearProblem, t: float, u: np.ndarray,
          executor: ThreadPoolExecutor | None = None) -> np.ndarray:
     """One step of the scheme from (t, u); groups run in scheme order.
 
-    With an executor the stages of each group are evaluated concurrently;
-    results are identical bit for bit either way.
+    Each group's stage values come from one combination; with an executor
+    the group's g calls run concurrently. Results are identical bit for bit
+    either way.
     """
     u = np.asarray(u, dtype=float)
-    F = ctx.to_basis(problem.f(t, u))
+    D = np.empty((ctx.scheme.s + 1, u.size))
+    D[1] = ctx.to_basis(problem.f(t, u))
     gn = problem.g(t, u)
-    D: list = [None] * (ctx.scheme.s + 1)
-    for group in ctx.scheme.groups:
-        if executor is not None and len(group) > 1:
-            futures = [
-                executor.submit(_eval_stage, ctx, problem, t, u, F, gn, D, i)
-                for i in group
-            ]
-            outcomes = [f.result() for f in futures]
-        else:
-            outcomes = [_eval_stage(ctx, problem, t, u, F, gn, D, i) for i in group]
-        for i, Di in zip(group, outcomes):
-            D[i] = Di
-    u_next = u + _increment(ctx, ctx.final_plan, F, D)
+    for group in ctx.groups:
+        U = u + _increments(ctx, group, D)
+        _check_finite(U, group.stages)
+
+        def stage_g(r):
+            return problem.g(t + group.plans[r].c * ctx.h, U[r])
+
+        run = map if executor is None else executor.map
+        G = np.stack(list(run(stage_g, range(len(group.stages))))) - gn
+        _check_finite(G, group.stages)
+        D[list(group.stages)] = ctx.to_basis(G)
+    u_next = u + _increments(ctx, ctx.update, D)[0]
     if not np.all(np.isfinite(u_next)):
         raise DivergenceError(stage=None)
     return u_next
@@ -239,12 +297,18 @@ def integrate(scheme: Scheme, problem: SemilinearProblem, t0: float, t_end: floa
               krylov: bool = False, krylov_tol: float = 1e-10) -> TrajectoryResult:
     """Fixed-step integration of the problem over [t0, t_end].
 
-    mode "concurrent" evaluates each stage group with a thread pool and is
-    guaranteed to reproduce the sequential trajectory exactly.
+    mode "concurrent" runs each stage group's g calls on a thread pool and is
+    guaranteed to reproduce the sequential trajectory exactly. A reused ctx
+    must have been built for this scheme and step size (ValueError otherwise).
     """
     if mode not in ("sequential", "concurrent"):
         raise ValueError(f"unknown execution mode {mode!r}")
     n_steps = _step_count(t0, t_end, h)
+    if ctx is not None and ctx.scheme != scheme:
+        raise ValueError(f"step context was built for scheme {ctx.scheme.name}, "
+                         f"not {scheme.name}")
+    if ctx is not None and ctx.h != float(h):
+        raise ValueError(f"step context was built for step {ctx.h}, not {h}")
     if ctx is None:
         operator = problem.A if (problem.A is not None and not krylov) else problem.apply_A
         ctx = precompute(scheme, operator, h, krylov=krylov, krylov_tol=krylov_tol)

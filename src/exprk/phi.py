@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import mpmath
@@ -338,8 +339,11 @@ class PhiCache:
 
     With a `basis` Q, A = Q diag(lam) Q^T is symmetric and each entry is the
     read-only length-n table phi_j(c*h*lam): phi_j(c*h*A) acts on basis
-    coordinates Q^T v elementwise. Without one, each entry is the read-only
-    n x n matrix phi_j(c*h*A). `get` returns the matrix either way.
+    coordinates Q^T v elementwise. Q comes in closed form (a sine basis) when
+    A is tridiagonal Toeplitz and from `eigh` otherwise; see build_phi_cache.
+    Without a basis, each entry is the read-only n x n matrix phi_j(c*h*A).
+    `get` returns the matrix either way. `to_basis` and `from_basis` map a
+    vector, or each row of a block of vectors, between the two coordinates.
     """
 
     operator_id: object
@@ -370,10 +374,17 @@ class PhiCache:
         return entry @ v if self.basis is None else entry * v
 
     def to_basis(self, v: np.ndarray) -> np.ndarray:
-        return v if self.basis is None else self.basis.T @ v
+        return v if self.basis is None else v @ self.basis
 
     def from_basis(self, v: np.ndarray) -> np.ndarray:
-        return v if self.basis is None else self.basis @ v
+        return v if self.basis is None else v @ self._basis_t
+
+    @cached_property
+    def _basis_t(self) -> np.ndarray:
+        # A block of 4 or more rows times the transposed view Q.T takes OpenBLAS
+        # 2-4x as long as times a contiguous array; a symmetric Q is its own Q^T.
+        Q = self.basis
+        return Q if np.array_equal(Q, Q.T) else np.ascontiguousarray(Q.T)
 
     @property
     def nodes(self):
@@ -384,10 +395,42 @@ def _estimate_cache_bytes(n: int, nodes: int, kmax: int, symmetric: bool,
                           workers: int | None) -> int:
     """Bytes the build holds at its peak, roughly."""
     if symmetric:
-        return 3 * n * n * 8  # A, the eigenbasis and the eigh workspace
+        # A, the eigenbasis, and the eigh workspace or the sine index array
+        return 3 * n * n * 8
     concurrent = min(max(workers or 1, 1), nodes)
     augmented = concurrent * _EXPM_ARRAYS * ((kmax + 1) * n) ** 2 * 8
     return nodes * (kmax + 1) * n * n * 8 + augmented
+
+
+def _tridiagonal_toeplitz(A: np.ndarray) -> tuple[float, float] | None:
+    """(a, b) if symmetric A has a on its diagonal, b beside it and no other nonzeros."""
+    n = A.shape[0]
+    if n < 2:
+        return None
+    diag, off = np.diagonal(A), np.diagonal(A, 1)
+    a, b = float(diag[0]), float(off[0])
+    if not (np.all(diag == a) and np.all(off == b)):
+        return None
+    band = n * (a != 0) + 2 * (n - 1) * (b != 0)
+    return (a, b) if np.count_nonzero(A) == band else None
+
+
+def _sine_eigenpairs(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of tridiagonal Toeplitz (a, b).
+
+    lam_k = a + 2b cos(k pi/(n+1)) is evaluated as
+    (a + 2b) - 4b sin^2(k pi/(2(n+1))), which does not cancel where |lam_k| is
+    small next to |b|, as for the smooth modes of a Laplacian.
+    Q[j, k] = sqrt(2/(n+1)) sin(jk pi/(n+1)) for j, k = 1..n; jk is reduced
+    mod 2(n+1) in integers, so every sine argument lies in [0, 2 pi).
+    """
+    k = np.arange(1, n + 1)
+    lam = (a + 2.0 * b) - 4.0 * b * np.sin(k * (np.pi / (2 * (n + 1)))) ** 2
+    period = 2 * (n + 1)
+    sines = math.sqrt(2.0 / (n + 1)) * np.sin(np.arange(period) * (np.pi / (n + 1)))
+    jk = np.outer(k, k)
+    jk %= period
+    return lam, sines[jk]
 
 
 def build_phi_cache(A, h: float, nodes, kmax: int, *, operator_id=None,
@@ -397,9 +440,12 @@ def build_phi_cache(A, h: float, nodes, kmax: int, *, operator_id=None,
     Exactly symmetric A goes through one eigendecomposition A = Q diag(lam) Q^T:
     the cache keeps Q as its basis and stores phi_j(c*h*lam) as a length-n
     table per (c, j), which is O(n) per entry and more accurate for the stiff
-    discrete Laplacians this cache exists for. General matrices store one
-    dense matrix per (c, j) from the augmented block exponential per node;
-    distinct nodes may be computed concurrently via `workers`.
+    discrete Laplacians this cache exists for. When A is also tridiagonal
+    Toeplitz (one constant a on the diagonal, one constant b beside it and no
+    other nonzeros, as for the Dirichlet Laplacian), its eigenpairs are known
+    in closed form and no `eigh` runs; see _sine_eigenpairs. General matrices
+    store one dense matrix per (c, j) from the augmented block exponential
+    per node; distinct nodes may be computed concurrently via `workers`.
 
     Raises ValueError, before allocating, if the estimated peak memory of
     the build exceeds CACHE_BUDGET_BYTES.
@@ -425,7 +471,8 @@ def build_phi_cache(A, h: float, nodes, kmax: int, *, operator_id=None,
 
     cache = PhiCache(operator_id=operator_id, h=float(h), kmax=kmax)
     if symmetric:
-        lam, Q = np.linalg.eigh(A)
+        toeplitz = _tridiagonal_toeplitz(A)
+        lam, Q = np.linalg.eigh(A) if toeplitz is None else _sine_eigenpairs(n, *toeplitz)
         Q.setflags(write=False)
         cache.basis = Q
         for c in nodes:

@@ -144,3 +144,38 @@ def test_rejects_step_that_does_not_divide_the_interval():
 def test_rejects_nonpositive_step(h):
     with pytest.raises(ValueError, match="must be positive"):
         integrate(scheme_by_name("expeuler"), make_heat1d(16), 0.0, 1.0, h)
+
+
+def test_error_in_a_batched_group_names_its_stage():
+    # c_16 = 1, so t == h is stage 16's node in the first step: the last row
+    # of the group 12..16, whose other rows stay finite
+    problem = make_heat1d(32)
+    h = 0.125
+
+    def g(t, u):
+        return np.full_like(u, np.nan) if t == h else problem.g(t, u)
+
+    with pytest.raises(DivergenceError) as caught:
+        integrate(scheme_by_name("exprk6s16"), replace(problem, g=g), 0.0, 1.0, h)
+    assert (caught.value.stage, caught.value.step_index) == (16, 0)
+
+
+def test_rejects_context_built_for_another_step_size():
+    scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(32)
+    ctx = precompute(scheme, problem.A, 0.125)
+    with pytest.raises(ValueError, match=r"step 0\.125, not 0\.0625"):
+        integrate(scheme, problem, 0.0, 1.0, 0.0625, ctx=ctx)
+
+
+def test_rejects_context_built_for_another_scheme():
+    problem = make_heat1d(32)
+    ctx = precompute(scheme_by_name("exprk6s16"), problem.A, 0.125)
+    with pytest.raises(ValueError, match="scheme exprk6s16, not expk2"):
+        integrate(scheme_by_name("expk2"), problem, 0.0, 1.0, 0.125, ctx=ctx)
+
+
+def test_krylov_path_matches_dense_path():
+    scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(16)
+    dense = integrate(scheme, problem, 0.0, 1.0, 0.25).state
+    krylov = integrate(scheme, problem, 0.0, 1.0, 0.25, krylov=True).state
+    assert _relative_gap(krylov, dense) <= 1e-9

@@ -398,6 +398,65 @@ class TestPhiCache:
             build_phi_cache(symmetric, 0.1, nodes, 5)
 
 
+def _tridiagonal(n, a, b):
+    return a * np.eye(n) + b * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+def _phi_all_dense_gap(cache, A, h, c, kmax):
+    ref = phi_all_dense(float(c) * h * A, kmax)
+    return max(np.linalg.norm(cache.get(c, j) - ref[j]) / max(1.0, np.linalg.norm(ref[j]))
+               for j in range(kmax + 1))
+
+
+class TestClosedFormBasis:
+    """Tridiagonal Toeplitz A takes the sine eigenbasis; anything else takes eigh."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls, eigh = [], np.linalg.eigh
+
+        def counting_eigh(A):
+            calls.append(A.shape)
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        return calls
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_heat1d_eigenpairs_match_eigh(self, n):
+        from exprk.phi import _sine_eigenpairs, _tridiagonal_toeplitz
+        from exprk.problems import make_heat1d
+
+        A = make_heat1d(n).A
+        a, b = _tridiagonal_toeplitz(A)
+        lam, Q = _sine_eigenpairs(n, a, b)
+        norm = np.linalg.norm(A, 2)
+        assert np.max(np.abs(np.sort(lam) - np.linalg.eigvalsh(A))) <= 1e-12 * norm
+        assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-14
+        assert np.linalg.norm(A @ Q - Q * lam) <= 1e-14 * norm
+
+    @pytest.mark.parametrize("a, b", [(-2.0, 1.0), (-3.0, 1.0), (0.5, -0.25), (0.0, 0.0)])
+    def test_toeplitz_builds_take_the_closed_form(self, eigh_calls, a, b):
+        n, h = 16, 0.1
+        A = _tridiagonal(n, a, b)
+        cache = build_phi_cache(A, h, [Fraction(1, 3), Fraction(1)], 3)
+        assert eigh_calls == []
+        for c in (Fraction(1, 3), Fraction(1)):
+            assert _phi_all_dense_gap(cache, A, h, c, 3) <= 1e-12
+
+    def test_near_misses_take_eigh(self, eigh_calls):
+        n, h = 16, 0.1
+        diagonal = _tridiagonal(n, -3.0, 1.0)
+        diagonal[5, 5] += 1e-3
+        corner = _tridiagonal(n, -3.0, 1.0)
+        corner[0, n - 1] = corner[n - 1, 0] = 1.0
+        for A in (diagonal, corner):
+            cache = build_phi_cache(A, h, [Fraction(1, 3), Fraction(1)], 3)
+            for c in (Fraction(1, 3), Fraction(1)):
+                assert _phi_all_dense_gap(cache, A, h, c, 3) <= 1e-12
+        assert eigh_calls == [(n, n), (n, n)]
+
+
 class TestPhiSeriesOracleSuite:
     def test_phi_all_dense_vs_extended_precision_series(self):
         rng = np.random.default_rng(21)
