@@ -112,7 +112,11 @@ def _fold(cache: PhiCache, c: Fraction, terms) -> np.ndarray:
 
 @dataclass
 class StepContext:
-    """Everything reusable across steps for one (scheme, operator, h)."""
+    """Everything reusable across steps for one (scheme, operator, h).
+
+    `A` is the matrix the context was built from, or None when only an
+    operator action was given, whose size is then not known.
+    """
 
     scheme: Scheme
     h: float
@@ -121,6 +125,7 @@ class StepContext:
     groups: tuple
     update: _Group
     krylov_tol: float = 1e-10
+    A: np.ndarray | None = None
 
     @property
     def dense(self) -> bool:
@@ -155,7 +160,8 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False,
     if not matrix_free:
         kmax = max(scheme.max_phi_index, 1)
         cache = build_phi_cache(A, h, scheme.nodes_used, kmax, workers=workers)
-    apply_A = A if callable(A) else (lambda v: A @ v)
+    matrix = None if callable(A) else A
+    apply_A = A if matrix is None else (lambda v: A @ v)
 
     def plan(c: Fraction, polys: dict) -> _Plan:
         rows = _compile_rows(polys)
@@ -184,7 +190,7 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False,
     )
     update = group((), [Fraction(1)], [scheme.b])
     return StepContext(scheme=scheme, h=float(h), cache=cache, apply_A=apply_A,
-                       groups=groups, update=update, krylov_tol=krylov_tol)
+                       groups=groups, update=update, krylov_tol=krylov_tol, A=matrix)
 
 
 def _combo_vectors(h_eff: float, h: float, F: np.ndarray, rows, D) -> list:
@@ -265,6 +271,22 @@ def step(ctx: StepContext, problem: SemilinearProblem, t: float, u: np.ndarray,
     return u_next
 
 
+def _check_context(ctx: StepContext, scheme: Scheme, problem: SemilinearProblem,
+                   h: float) -> None:
+    """Raise ValueError if a reused context was built for another run."""
+    if ctx.scheme != scheme:
+        raise ValueError(f"step context was built for scheme {ctx.scheme.name}, "
+                         f"not {scheme.name}")
+    if ctx.h != float(h):
+        raise ValueError(f"step context was built for step {ctx.h}, not {h}")
+    if ctx.A is not None and np.shape(ctx.A)[0] != np.size(problem.u0):
+        raise ValueError(f"step context was built for an operator of size "
+                         f"{np.shape(ctx.A)[0]}, not {np.size(problem.u0)}")
+    # the identity test first: a context reused for its own problem costs nothing
+    if ctx.dense and not (problem.A is ctx.A or np.array_equal(problem.A, ctx.A)):
+        raise ValueError("step context was built for another matrix than problem.A")
+
+
 @dataclass
 class TrajectoryResult:
     """Final state plus timing of a fixed-step run."""
@@ -299,17 +321,15 @@ def integrate(scheme: Scheme, problem: SemilinearProblem, t0: float, t_end: floa
 
     mode "concurrent" runs each stage group's g calls on a thread pool and is
     guaranteed to reproduce the sequential trajectory exactly. A reused ctx
-    must have been built for this scheme and step size (ValueError otherwise).
+    must have been built for this scheme, step size and operator size, and a
+    dense one for a matrix equal to problem.A (ValueError otherwise).
     """
     if mode not in ("sequential", "concurrent"):
         raise ValueError(f"unknown execution mode {mode!r}")
     n_steps = _step_count(t0, t_end, h)
-    if ctx is not None and ctx.scheme != scheme:
-        raise ValueError(f"step context was built for scheme {ctx.scheme.name}, "
-                         f"not {scheme.name}")
-    if ctx is not None and ctx.h != float(h):
-        raise ValueError(f"step context was built for step {ctx.h}, not {h}")
-    if ctx is None:
+    if ctx is not None:
+        _check_context(ctx, scheme, problem, h)
+    else:
         operator = problem.A if (problem.A is not None and not krylov) else problem.apply_A
         ctx = precompute(scheme, operator, h, krylov=krylov, krylov_tol=krylov_tol)
     u = np.array(problem.u0, dtype=float)

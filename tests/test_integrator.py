@@ -174,6 +174,30 @@ def test_rejects_context_built_for_another_scheme():
         integrate(scheme_by_name("expk2"), problem, 0.0, 1.0, 0.125, ctx=ctx)
 
 
+@pytest.mark.parametrize("krylov", [False, True], ids=["dense", "krylov"])
+def test_rejects_context_built_for_another_operator_size(krylov):
+    scheme = scheme_by_name("exprk6s16")
+    ctx = precompute(scheme, make_heat1d(16).A, 0.125, krylov=krylov)
+    with pytest.raises(ValueError, match="operator of size 16, not 32"):
+        integrate(scheme, make_heat1d(32), 0.0, 1.0, 0.125, ctx=ctx)
+
+
+def test_rejects_context_built_for_another_matrix():
+    scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(32)
+    ctx = precompute(scheme, 2 * problem.A, 0.125)
+    with pytest.raises(ValueError, match="another matrix than problem.A"):
+        integrate(scheme, problem, 0.0, 1.0, 0.125, ctx=ctx)
+
+
+def test_accepts_context_built_for_an_equal_matrix():
+    scheme = scheme_by_name("exprk6s16")
+    ctx = precompute(scheme, make_heat1d(32).A, 0.125)
+    problem = make_heat1d(32)
+    assert problem.A is not ctx.A
+    reused = integrate(scheme, problem, 0.0, 1.0, 0.125, ctx=ctx).state
+    assert np.array_equal(reused, integrate(scheme, problem, 0.0, 1.0, 0.125).state)
+
+
 def test_krylov_path_matches_dense_path():
     scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(16)
     dense = integrate(scheme, problem, 0.0, 1.0, 0.25).state

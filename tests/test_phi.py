@@ -230,6 +230,21 @@ class TestArnoldi:
         with pytest.raises(ValueError):
             arnoldi(lambda x: x, np.zeros(5), 3)
 
+    def test_smaller_basis_is_bitwise_prefix_of_larger(self):
+        A = _laplacian(64) / 8
+        v = np.random.default_rng(11).standard_normal(64)
+        V16, H16 = arnoldi(lambda x: A @ x, v, 16)
+        V32, H32 = arnoldi(lambda x: A @ x, v, 32)
+        assert np.array_equal(V16, V32[:, :16])
+        assert np.array_equal(H16, H32[:17, :16])
+
+    def test_orthonormal_at_full_dimension_on_stiff_laplacian(self):
+        A = _laplacian(64) / 8
+        v = np.random.default_rng(12).standard_normal(64)
+        V, _ = arnoldi(lambda x: A @ x, v, 64)
+        assert V.shape == (64, 64)
+        assert np.linalg.norm(V.T @ V - np.eye(64)) <= 1e-13
+
 
 def _laplacian(n):
     main = -2.0 * np.ones(n)
@@ -273,6 +288,25 @@ class TestPhiComboApplyKrylov:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             phi_combo_apply_krylov(lambda v: v, 1.0, [np.ones(4)], 0.0)
+
+    def test_basis_grows_without_restarting(self):
+        n = 64
+        A = _laplacian(n)
+        rng = np.random.default_rng(16)
+        V = [rng.standard_normal(n) for _ in range(3)]
+        calls = []
+
+        def apply_A(v):
+            calls.append(1)
+            return A @ v
+
+        out, info = phi_combo_apply_krylov(apply_A, 2e-3, V, 1e-9, return_info=True)
+        assert info.converged and info.m == 32  # two doublings: 8, 16, 32
+        # one product per basis column, plus one: arnoldi keeps no column for
+        # its next vector, so the first extension recomputes its last column
+        assert len(calls) == info.m + 1
+        dense = phi_combo_apply(A, 2e-3, V)
+        assert np.linalg.norm(out - dense) <= 1e-9 * np.linalg.norm(dense)
 
     def test_dense_fallback_flagged(self, monkeypatch):
         # force non-convergence by breaking the error estimate; the result
