@@ -77,36 +77,71 @@ def condition_table(p: int) -> list[Condition]:
 
 
 class PhiAtMatrix:
-    """Evaluates phi polynomials at a fixed matrix, caching per node."""
+    """Evaluates phi polynomials at a fixed matrix Z, computing each once.
+
+    One evaluator serves one random model, so everything it returns is
+    memoized and read-only:
+
+      * phi(c, j): phi_all_dense runs once per node c (key: the node);
+      * coeff(poly): sum_j w_j phi_j(cZ) is formed once per polynomial
+        (key: id(poly));
+      * psi(q, i, scheme, self): each stage defect is formed once
+        (key: id(scheme), q, i).
+
+    An id key is cheap where hashing a PhiPoly or Scheme would hash all of
+    its Fractions. Each entry keeps the keyed object beside the matrix, so
+    its id cannot be reused while the entry lives, and a hit must be that
+    very object.
+    """
 
     def __init__(self, Z: np.ndarray, kmax: int):
         self.Z = np.asarray(Z, dtype=float)
         self.kmax = kmax
         self._cache: dict[Fraction, list[np.ndarray]] = {}
+        self._coeffs: dict[int, tuple[PhiPoly, np.ndarray]] = {}
+        self._psi: dict[tuple[int, int, int], tuple[Scheme, np.ndarray]] = {}
 
     def phi(self, c, j: int) -> np.ndarray:
         c = Fraction(c)
         if c not in self._cache:
-            self._cache[c] = phi_all_dense(float(c) * self.Z, self.kmax)
+            block = phi_all_dense(float(c) * self.Z, self.kmax)
+            for m in block:
+                m.setflags(write=False)
+            self._cache[c] = block
         return self._cache[c][j]
 
     def coeff(self, poly: PhiPoly) -> np.ndarray:
+        hit = self._coeffs.get(id(poly))
+        if hit is not None and hit[0] is poly:
+            return hit[1]
         n = self.Z.shape[0]
         out = np.zeros((n, n))
         for j, w in poly.terms:
             out += float(w) * self.phi(poly.c, j)
+        out.setflags(write=False)
+        self._coeffs[id(poly)] = (poly, out)
         return out
 
 
 def psi(q: int, i: int, scheme: Scheme, ev: PhiAtMatrix) -> np.ndarray:
-    """Stage defect sum_k a_ik(Z) c_k^(q-1)/(q-1)! - c_i^q phi_q(c_i Z)."""
+    """Stage defect sum_k a_ik(Z) c_k^(q-1)/(q-1)! - c_i^q phi_q(c_i Z).
+
+    Memoized on ev per (id(scheme), q, i), read-only; see PhiAtMatrix.
+    """
+    key = (id(scheme), q, i)
+    hit = ev._psi.get(key)
+    if hit is not None and hit[0] is scheme:
+        return hit[1]
     n = ev.Z.shape[0]
     acc = np.zeros((n, n))
     for k in range(2, i):
         poly = scheme.a.get((i, k))
         if poly is not None:
             acc += ev.coeff(poly) * (float(scheme.c[k]) ** (q - 1) / math.factorial(q - 1))
-    return acc - float(scheme.c[i]) ** q * ev.phi(scheme.c[i], q)
+    out = acc - float(scheme.c[i]) ** q * ev.phi(scheme.c[i], q)
+    out.setflags(write=False)
+    ev._psi[key] = (scheme, out)
+    return out
 
 
 def psi_b(q: int, scheme: Scheme, ev: PhiAtMatrix) -> np.ndarray:

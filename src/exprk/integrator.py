@@ -282,8 +282,12 @@ def _check_context(ctx: StepContext, scheme: Scheme, problem: SemilinearProblem,
     if ctx.A is not None and np.shape(ctx.A)[0] != np.size(problem.u0):
         raise ValueError(f"step context was built for an operator of size "
                          f"{np.shape(ctx.A)[0]}, not {np.size(problem.u0)}")
-    # the identity test first: a context reused for its own problem costs nothing
-    if ctx.dense and not (problem.A is ctx.A or np.array_equal(problem.A, ctx.A)):
+    # the identity tests first: a context reused for its own problem costs nothing
+    if ctx.A is None:
+        if ctx.apply_A is not problem.apply_A:
+            raise ValueError("step context was built from another operator action; "
+                             "build it from this problem's apply_A")
+    elif not (problem.A is ctx.A or np.array_equal(problem.A, ctx.A)):
         raise ValueError("step context was built for another matrix than problem.A")
 
 
@@ -321,8 +325,9 @@ def integrate(scheme: Scheme, problem: SemilinearProblem, t0: float, t_end: floa
 
     mode "concurrent" runs each stage group's g calls on a thread pool and is
     guaranteed to reproduce the sequential trajectory exactly. A reused ctx
-    must have been built for this scheme, step size and operator size, and a
-    dense one for a matrix equal to problem.A (ValueError otherwise).
+    must have been built for this scheme and step size, and from a matrix
+    equal to problem.A or, matrix-free, from problem.apply_A itself
+    (ValueError otherwise).
     """
     if mode not in ("sequential", "concurrent"):
         raise ValueError(f"unknown execution mode {mode!r}")

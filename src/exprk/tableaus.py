@@ -18,6 +18,7 @@ evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import factorial
 
@@ -140,7 +141,7 @@ class Scheme:
         used.update(self.c.values())
         return used
 
-    @property
+    @cached_property
     def max_phi_index(self) -> int:
         idx = 1  # the structural phi_1 terms
         for poly in list(self.a.values()) + list(self.b.values()):

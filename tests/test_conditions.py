@@ -244,6 +244,43 @@ class TestResidual:
             check_scheme(s15, p=7)
 
 
+class TestMemo:
+    """The evaluator memoizes per model; results must not depend on it."""
+
+    @pytest.mark.parametrize("scheme_name, mode", [
+        ("s16", "strong"), ("s15", "strong"), ("s15", "weak17")])
+    def test_check_scheme_equals_fresh_evaluator_per_condition(
+            self, scheme_name, mode, request):
+        scheme = request.getfixturevalue(scheme_name)
+        report = check_scheme(scheme, p=6, mode=mode, seeds=1)
+        model = RandomModel((DEFAULT_SEED, 0), n=4)
+        kmax = max(scheme.max_phi_index, 6)
+        for cond, got in zip(condition_table(6), report.results):
+            want = residual(cond, scheme, model, mode=mode,
+                            ev=PhiAtMatrix(model.Z, kmax),
+                            ev0=PhiAtMatrix(np.zeros_like(model.Z), kmax))
+            assert got.residual == want, cond.number
+
+    def test_psi_is_keyed_on_the_scheme(self, s15, s16, model):
+        shared = PhiAtMatrix(model.Z, 6)
+        fresh = PhiAtMatrix(model.Z, 6)
+        for q in range(2, 6):
+            for i in sorted(s16.c):
+                if i in s15.c:
+                    psi(q, i, s15, shared)
+                assert np.array_equal(psi(q, i, s16, shared),
+                                      psi(q, i, s16, fresh)), (q, i)
+
+    def test_returned_arrays_are_read_only_and_reused(self, s16, model):
+        ev = PhiAtMatrix(model.Z, 6)
+        poly = s16.a[(12, 8)]
+        assert ev.coeff(poly) is ev.coeff(poly)
+        assert psi(3, 12, s16, ev) is psi(3, 12, s16, ev)
+        for arr in (ev.coeff(poly), ev.phi(F(1, 2), 2), psi(3, 12, s16, ev)):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+
 class TestRandomModel:
     def test_deterministic_and_unit_norm(self):
         a = RandomModel((1, 2), n=4)

@@ -189,6 +189,24 @@ def test_rejects_context_built_for_another_matrix():
         integrate(scheme, problem, 0.0, 1.0, 0.125, ctx=ctx)
 
 
+@pytest.mark.parametrize("operator", ["matrix", "callable"])
+def test_rejects_matrix_free_context_built_for_another_operator(operator):
+    scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(32)
+    A = 2 * problem.A
+    built_from = A if operator == "matrix" else (lambda v: A @ v)
+    ctx = precompute(scheme, built_from, 0.125, krylov=True)
+    with pytest.raises(ValueError, match="another matrix|another operator action"):
+        integrate(scheme, problem, 0.0, 1.0, 0.125, ctx=ctx)
+
+
+def test_accepts_matrix_free_context_built_from_the_problems_apply_A():
+    scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(16)
+    ctx = precompute(scheme, problem.apply_A, 0.25, krylov=True)
+    reused = integrate(scheme, problem, 0.0, 1.0, 0.25, ctx=ctx).state
+    fresh = integrate(scheme, problem, 0.0, 1.0, 0.25, krylov=True).state
+    assert np.array_equal(reused, fresh)
+
+
 def test_accepts_context_built_for_an_equal_matrix():
     scheme = scheme_by_name("exprk6s16")
     ctx = precompute(scheme, make_heat1d(32).A, 0.125)
