@@ -212,9 +212,8 @@ def elementary_differential(tree: Tree, i: int, scheme: Scheme, ev: PhiAtMatrix,
     symmetry prefactor times sum_j a_ij(Z) applied to the node's map at the
     recursively evaluated grandchildren.
     """
-    ci = float(scheme.c[i])
     if tree.kind == "white":
-        return ci * w
+        return float(scheme.c[i]) * w
     if tree.kind != "node":
         raise ValueError(f"tree kind {tree.kind!r} does not occur in conditions")
     tensor = maps[path]

@@ -14,18 +14,20 @@ reproducible - the benchmark harness treats any mismatch as a correctness
 bug.
 
 The dense path builds its phi cache once per (A, h) and then assembles
-nothing per step. For symmetric A the cache holds the eigenbasis Q and
+nothing per step. For symmetric A the cache holds an eigenbasis and
 length-n tables of phi_j on the eigenvalues, and precompute folds each
 coefficient a_ij(z) = sum_m w_m phi_m(c_i z) into one table on the
 eigenvalues. F goes into basis coordinates once, each group's increments
 are one contraction of its stacked tables with the stacked D_j, and one
-product with Q brings the group back; the group's D_j go into the basis
-with one more. That is 12 products with one n x n matrix per exprk6s16
-step: one for F, two per group and one for the update. For general A the
-cache holds dense phi matrices, the basis is the identity and each stage
-sums matrix-vector products, one per phi index. The matrix-free path
-evaluates each stage with a Krylov approximation of the phi combination
-instead.
+basis change brings the group back; the group's D_j go into the basis
+with one more. That is 12 basis changes per exprk6s16 step: one for F, two
+per group and one for the update. Each is a product with the n x n
+eigenvector matrix Q or, for a tridiagonal Toeplitz A with n at or above
+phi.SINE_TRANSFORM_MIN_N, an O(n log n) sine transform that stores no Q.
+For general A the cache holds dense phi matrices, the basis is the
+identity and each stage sums matrix-vector products, one per phi index.
+The matrix-free path evaluates each stage with a Krylov approximation of
+the phi combination instead.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False,
         plans = tuple(plan(c, p) for c, p in zip(nodes, polys))
         reads = (1,) + tuple(sorted({j for p in polys for j in p}))
         tables = None
-        if cache is not None and cache.basis is not None:
+        if cache is not None and cache.eigenbasis:
             tables = np.array([
                 [_fold(cache, c, [(1, c)])]
                 + [_fold(cache, c, p[j].terms if j in p else ()) for j in reads[1:]]
@@ -211,7 +213,7 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray) -> np.ndarray:
     D[1] holds F and D[j] stage j's increment, in the cache's basis
     coordinates on the dense path; the result is in the original ones. With
     an eigenbasis the whole group is one contraction of its folded tables
-    and one product with the basis; otherwise each row sums its phi terms.
+    and one basis change; otherwise each row sums its phi terms.
     """
     h = ctx.h
     if group.tables is not None:

@@ -29,6 +29,7 @@ import scipy.linalg
 __all__ = [
     "SERIES_RADIUS",
     "CACHE_BUDGET_BYTES",
+    "SINE_TRANSFORM_MIN_N",
     "phi_scalar",
     "phi_scalar_all",
     "expm",
@@ -364,19 +365,43 @@ CACHE_BUDGET_BYTES = 4 * 2**30
 # Peak number of (kmax+1)n x (kmax+1)n arrays live during one augmented
 # exponential (scipy's scaling-and-squaring Pade; measured 8 to 9).
 _EXPM_ARRAYS = 9
+# Smallest n at which a tridiagonal Toeplitz A changes basis by the sine
+# transform (DST-I) instead of products with the stored n x n sine matrix.
+# Measured per exprk6s16 step (12 basis changes of 1,1,1,2,2,3,3,4,4,5,5,1
+# rows) on one core with one BLAS thread, matrix product against DST-I:
+#   n=400:  590 vs 1331 us   n=502: 1949 vs 2224 us   n=520:  1765 vs 1602 us
+#   n=600: 2769 vs 2104 us   n=1008: 8411 vs 3685 us  n=1600: 20187 vs 5996 us
+# Each n+1 there is prime, DST-I's slowest case; at n=404 (n+1 = 405) the
+# transform takes 330 us against 729 us.
+SINE_TRANSFORM_MIN_N = 512
+
+
+def _sine_transform(v: np.ndarray) -> np.ndarray:
+    """v times the orthonormal sine matrix of _sine_basis, each row: a DST-I.
+
+    The transform is its own inverse. scipy.fft is imported here, and so only
+    by processes that take this path: it adds about 4.6 MB to a process.
+    """
+    import scipy.fft
+
+    return scipy.fft.dst(v, type=1, norm="ortho", axis=-1)
 
 
 @dataclass
 class PhiCache:
     """Immutable store of phi_j(c*h*A) keyed by (node c, index j).
 
-    With a `basis` Q, A = Q diag(lam) Q^T is symmetric and each entry is the
+    With an eigenbasis, A = Q diag(lam) Q^T is symmetric and each entry is the
     read-only length-n table phi_j(c*h*lam): phi_j(c*h*A) acts on basis
-    coordinates Q^T v elementwise. Q comes in closed form (a sine basis) when
-    A is tridiagonal Toeplitz and from `eigh` otherwise; see build_phi_cache.
-    Without a basis, each entry is the read-only n x n matrix phi_j(c*h*A).
-    `get` returns the matrix either way. `to_basis` and `from_basis` map a
-    vector, or each row of a block of vectors, between the two coordinates.
+    coordinates Q^T v elementwise. The basis is kept in one of two ways (see
+    build_phi_cache). As the n x n matrix `basis`, from `eigh` or, when A is
+    tridiagonal Toeplitz with n below SINE_TRANSFORM_MIN_N, in closed form as a
+    sine matrix. Or, with `sine_transform` set, not at all: A is tridiagonal
+    Toeplitz with n at or above SINE_TRANSFORM_MIN_N, and the basis changes
+    are O(n log n) sine transforms. Without an eigenbasis, each entry is the
+    read-only n x n matrix phi_j(c*h*A). `get` returns the matrix in every
+    case. `to_basis` and `from_basis` map a vector, or each row of a block of
+    vectors, between the two coordinates.
     """
 
     operator_id: object
@@ -384,32 +409,42 @@ class PhiCache:
     kmax: int
     entries: dict = field(default_factory=dict)
     basis: np.ndarray | None = None
+    sine_transform: bool = False
+
+    @property
+    def eigenbasis(self) -> bool:
+        """Whether the entries are tables on the eigenvalues, not matrices."""
+        return self.basis is not None or self.sine_transform
 
     def entry(self, c: Fraction, j: int) -> np.ndarray:
-        """The stored table (with a basis) or matrix (without) for (c, j)."""
+        """The stored table (with an eigenbasis) or matrix (without) for (c, j)."""
         key = (Fraction(c), j)
         if key not in self.entries:
             raise KeyError(f"phi cache has no entry for node {c}, index {j}")
         return self.entries[key]
 
     def get(self, c: Fraction, j: int) -> np.ndarray:
-        """phi_j(c*h*A) as a read-only n x n matrix, formed on demand with a basis."""
+        """phi_j(c*h*A) as a read-only n x n matrix, formed on demand with an eigenbasis."""
         entry = self.entry(c, j)
-        if self.basis is None:
+        if not self.eigenbasis:
             return entry
-        Q = self.basis
+        Q = _sine_basis(entry.size) if self.sine_transform else self.basis
         mat = (Q * entry) @ Q.T
         mat.setflags(write=False)
         return mat
 
     def apply(self, entry: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """An entry acting on v, with v in basis coordinates when there is a basis."""
-        return entry @ v if self.basis is None else entry * v
+        """An entry acting on v, with v in basis coordinates when there is an eigenbasis."""
+        return entry * v if self.eigenbasis else entry @ v
 
     def to_basis(self, v: np.ndarray) -> np.ndarray:
+        if self.sine_transform:
+            return _sine_transform(v)
         return v if self.basis is None else v @ self.basis
 
     def from_basis(self, v: np.ndarray) -> np.ndarray:
+        if self.sine_transform:
+            return _sine_transform(v)
         return v if self.basis is None else v @ self._basis_t
 
     @cached_property
@@ -425,8 +460,11 @@ class PhiCache:
 
 
 def _estimate_cache_bytes(n: int, nodes: int, kmax: int, symmetric: bool,
-                          workers: int | None) -> int:
+                          transform: bool, workers: int | None) -> int:
     """Bytes the build holds at its peak, roughly."""
+    if transform:
+        # the tables alone: the basis is never formed
+        return nodes * (kmax + 1) * n * 8
     if symmetric:
         # A, the eigenbasis, and the eigh workspace or the sine index array
         return 3 * n * n * 8
@@ -436,49 +474,65 @@ def _estimate_cache_bytes(n: int, nodes: int, kmax: int, symmetric: bool,
 
 
 def _tridiagonal_toeplitz(A: np.ndarray) -> tuple[float, float] | None:
-    """(a, b) if symmetric A has a on its diagonal, b beside it and no other nonzeros."""
+    """(a, b) if A has a on its diagonal, b on both diagonals beside it and no
+    other nonzeros; such an A is symmetric."""
     n = A.shape[0]
     if n < 2:
         return None
-    diag, off = np.diagonal(A), np.diagonal(A, 1)
-    a, b = float(diag[0]), float(off[0])
-    if not (np.all(diag == a) and np.all(off == b)):
+    diag, sup, sub = np.diagonal(A), np.diagonal(A, 1), np.diagonal(A, -1)
+    a, b = float(diag[0]), float(sup[0])
+    if not (np.all(diag == a) and np.all(sup == b) and np.all(sub == b)):
         return None
     band = n * (a != 0) + 2 * (n - 1) * (b != 0)
     return (a, b) if np.count_nonzero(A) == band else None
 
 
-def _sine_eigenpairs(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of tridiagonal Toeplitz (a, b).
+def _sine_eigenvalues(n: int, a: float, b: float) -> np.ndarray:
+    """Eigenvalues of tridiagonal Toeplitz (a, b), in the order of _sine_basis.
 
     lam_k = a + 2b cos(k pi/(n+1)) is evaluated as
     (a + 2b) - 4b sin^2(k pi/(2(n+1))), which does not cancel where |lam_k| is
     small next to |b|, as for the smooth modes of a Laplacian.
+    """
+    k = np.arange(1, n + 1)
+    return (a + 2.0 * b) - 4.0 * b * np.sin(k * (np.pi / (2 * (n + 1)))) ** 2
+
+
+def _sine_basis(n: int) -> np.ndarray:
+    """Orthonormal eigenvectors of every tridiagonal Toeplitz n x n matrix.
+
     Q[j, k] = sqrt(2/(n+1)) sin(jk pi/(n+1)) for j, k = 1..n; jk is reduced
     mod 2(n+1) in integers, so every sine argument lies in [0, 2 pi).
     """
     k = np.arange(1, n + 1)
-    lam = (a + 2.0 * b) - 4.0 * b * np.sin(k * (np.pi / (2 * (n + 1)))) ** 2
     period = 2 * (n + 1)
     sines = math.sqrt(2.0 / (n + 1)) * np.sin(np.arange(period) * (np.pi / (n + 1)))
     jk = np.outer(k, k)
     jk %= period
-    return lam, sines[jk]
+    return sines[jk]
+
+
+def _sine_eigenpairs(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of tridiagonal Toeplitz (a, b)."""
+    return _sine_eigenvalues(n, a, b), _sine_basis(n)
 
 
 def build_phi_cache(A, h: float, nodes, kmax: int, *, operator_id=None,
                     workers: int | None = None) -> PhiCache:
     """phi_0..phi_kmax(c*h*A) for every node c, computed once per (A, h).
 
-    Exactly symmetric A goes through one eigendecomposition A = Q diag(lam) Q^T:
-    the cache keeps Q as its basis and stores phi_j(c*h*lam) as a length-n
-    table per (c, j), which is O(n) per entry and more accurate for the stiff
-    discrete Laplacians this cache exists for. When A is also tridiagonal
-    Toeplitz (one constant a on the diagonal, one constant b beside it and no
-    other nonzeros, as for the Dirichlet Laplacian), its eigenpairs are known
-    in closed form and no `eigh` runs; see _sine_eigenpairs. General matrices
-    store one dense matrix per (c, j) from the augmented block exponential
-    per node; distinct nodes may be computed concurrently via `workers`.
+    Exactly symmetric A goes through one eigendecomposition A = Q diag(lam) Q^T
+    and stores phi_j(c*h*lam) as a length-n table per (c, j), which is O(n)
+    per entry and more accurate for the stiff discrete Laplacians this cache
+    exists for. When A is tridiagonal Toeplitz (one constant a on the
+    diagonal, one constant b on both diagonals beside it and no other
+    nonzeros, as for the Dirichlet Laplacian), its eigenpairs are known in
+    closed form and no `eigh` runs: see _sine_eigenvalues and _sine_basis.
+    Below SINE_TRANSFORM_MIN_N the cache keeps Q as its basis; from there up
+    it keeps no Q and changes basis by the sine transform. Other symmetric A
+    keep the Q from `eigh`. General matrices store one dense matrix per (c, j)
+    from the augmented block exponential per node; distinct nodes may be
+    computed concurrently via `workers`.
 
     Raises ValueError, before allocating, if the estimated peak memory of
     the build exceeds CACHE_BUDGET_BYTES.
@@ -493,8 +547,11 @@ def build_phi_cache(A, h: float, nodes, kmax: int, *, operator_id=None,
         raise ValueError("cache nodes must be positive")
 
     n = A.shape[0]
-    symmetric = np.array_equal(A, A.T)
-    estimate = _estimate_cache_bytes(n, len(nodes), kmax, symmetric, workers)
+    toeplitz = _tridiagonal_toeplitz(A)
+    # a tridiagonal Toeplitz A is symmetric; the O(n^2) compare runs only without one
+    symmetric = toeplitz is not None or np.array_equal(A, A.T)
+    transform = toeplitz is not None and n >= SINE_TRANSFORM_MIN_N
+    estimate = _estimate_cache_bytes(n, len(nodes), kmax, symmetric, transform, workers)
     if estimate > CACHE_BUDGET_BYTES:
         raise ValueError(
             f"phi cache for n={n} with {len(nodes) * (kmax + 1)} entries needs about "
@@ -504,10 +561,13 @@ def build_phi_cache(A, h: float, nodes, kmax: int, *, operator_id=None,
 
     cache = PhiCache(operator_id=operator_id, h=float(h), kmax=kmax)
     if symmetric:
-        toeplitz = _tridiagonal_toeplitz(A)
-        lam, Q = np.linalg.eigh(A) if toeplitz is None else _sine_eigenpairs(n, *toeplitz)
-        Q.setflags(write=False)
-        cache.basis = Q
+        if transform:
+            lam = _sine_eigenvalues(n, *toeplitz)
+            cache.sine_transform = True
+        else:
+            lam, Q = np.linalg.eigh(A) if toeplitz is None else _sine_eigenpairs(n, *toeplitz)
+            Q.setflags(write=False)
+            cache.basis = Q
         for c in nodes:
             tables = phi_scalar_all(kmax, float(c) * float(h) * lam)
             tables.setflags(write=False)

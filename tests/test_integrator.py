@@ -1,15 +1,20 @@
 """Fixed-step integrator: agreement with a stage-by-stage reference, order,
 reproducibility, exactness on linear decay and the error paths."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exprk
 from exprk.cli import run_convergence
 from exprk.integrator import DivergenceError, integrate, precompute
-from exprk.phi import build_phi_cache
+from exprk.phi import SINE_TRANSFORM_MIN_N, _sine_basis, build_phi_cache
 from exprk.problems import SemilinearProblem, error_at, make_heat1d, make_linear_decay
 from exprk.tableaus import SCHEME_NAMES, eval_coeff, scheme_by_name
 
@@ -78,6 +83,52 @@ def test_general_path_matches_reference_on_nonsymmetric_operator(name):
     want = reference_integrate(scheme, problem, 0.0, 1.0, 0.25)
     assert np.all(np.isfinite(got))
     assert _relative_gap(got, want) <= 1e-12
+
+
+# n+1 = 521 is prime, DST-I's slowest case; n+1 = 540 = 2^2 3^3 5 is smooth
+@pytest.mark.parametrize("n", [521 - 1, 540 - 1])
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_sine_transform_path_matches_the_matrix_basis(monkeypatch, name, n):
+    import exprk.phi as phimod
+
+    assert n >= SINE_TRANSFORM_MIN_N
+    scheme = scheme_by_name(name)
+    for problem in (make_heat1d(n), make_linear_decay(n)):
+        assert precompute(scheme, problem.A, 0.125).cache.sine_transform
+        got = integrate(scheme, problem, 0.0, 1.0, 0.125).state
+        with monkeypatch.context() as patch:
+            patch.setattr(phimod, "SINE_TRANSFORM_MIN_N", n + 1)
+            assert precompute(scheme, problem.A, 0.125).cache.basis is not None
+            want = integrate(scheme, problem, 0.0, 1.0, 0.125).state
+        assert _relative_gap(got, want) <= 1e-11
+        if problem.name == "lindecay":
+            assert error_at(problem, got, 1.0) <= 1e-12
+
+
+def test_below_the_constant_keeps_the_closed_form_matrix(monkeypatch):
+    import exprk.phi as phimod
+
+    n = 400
+    assert n < SINE_TRANSFORM_MIN_N
+    scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(n)
+    cache = precompute(scheme, problem.A, 0.125).cache
+    assert not cache.sine_transform and np.array_equal(cache.basis, _sine_basis(n))
+    got = integrate(scheme, problem, 0.0, 1.0, 0.125).state
+    monkeypatch.setattr(phimod, "SINE_TRANSFORM_MIN_N", 10**9)
+    assert got.tobytes() == integrate(scheme, problem, 0.0, 1.0, 0.125).state.tobytes()
+
+
+@pytest.mark.parametrize("n, loaded", [(64, False), (SINE_TRANSFORM_MIN_N, True)])
+def test_scipy_fft_is_imported_only_on_the_transform_path(n, loaded):
+    # scipy.fft adds about 4.6 MB to a process; runs that never transform skip it
+    code = ("import sys\n"
+            "from exprk import integrate, make_exprk6s16, make_heat1d\n"
+            f"integrate(make_exprk6s16(), make_heat1d({n}), 0.0, 1.0, 0.5)\n"
+            "print('scipy.fft' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(exprk.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env=env)
+    assert out.stdout.strip() == str(loaded)
 
 
 @pytest.mark.parametrize("problem", [make_heat1d(64), _nonsymmetric_problem()],

@@ -6,6 +6,7 @@ import pytest
 
 from exprk.phi import (
     SERIES_RADIUS,
+    SINE_TRANSFORM_MIN_N,
     arnoldi,
     build_phi_cache,
     expm,
@@ -489,6 +490,65 @@ class TestClosedFormBasis:
             for c in (Fraction(1, 3), Fraction(1)):
                 assert _phi_all_dense_gap(cache, A, h, c, 3) <= 1e-12
         assert eigh_calls == [(n, n), (n, n)]
+
+    def test_nonsymmetric_toeplitz_takes_the_general_path(self, eigh_calls):
+        n, h, nodes = 16, 0.1, [Fraction(1, 3), Fraction(1)]
+        A = _tridiagonal(n, -3.0, 1.0)
+        A += 0.5 * np.eye(n, k=-1)  # 1 above the diagonal, 1.5 below
+        cache = build_phi_cache(A, h, nodes, 3)
+        assert not cache.eigenbasis and eigh_calls == []
+        for c in nodes:
+            for j, ref in enumerate(phi_all_dense(float(c) * h * A, 3)):
+                assert np.array_equal(cache.get(c, j), ref)
+
+
+class TestSineTransformPath:
+    """From SINE_TRANSFORM_MIN_N up, tridiagonal Toeplitz A stores no basis and
+    changes basis by DST-I."""
+
+    N = SINE_TRANSFORM_MIN_N + 8
+
+    def _cache(self, n=N):
+        return build_phi_cache(_tridiagonal(n, -2.0, 1.0), 0.1, [Fraction(1, 3), Fraction(1)], 3)
+
+    def test_stores_tables_and_no_basis(self):
+        cache = self._cache()
+        assert cache.sine_transform and cache.eigenbasis and cache.basis is None
+        assert all(table.shape == (self.N,) for table in cache.entries.values())
+        below = self._cache(SINE_TRANSFORM_MIN_N - 1)
+        assert not below.sine_transform and below.basis is not None
+
+    @pytest.mark.parametrize("shape", [(N,), (5, N)], ids=["vector", "block"])
+    def test_round_trip_and_agreement_with_the_sine_matrix(self, shape):
+        from exprk.phi import _sine_basis
+
+        cache = self._cache()
+        v = np.random.default_rng(23).standard_normal(shape)
+        coords = cache.to_basis(v)
+        assert coords.shape == v.shape
+        assert np.linalg.norm(cache.from_basis(coords) - v) <= 1e-15 * np.linalg.norm(v)
+        want = v @ _sine_basis(self.N)
+        assert np.linalg.norm(coords - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_get_matches_phi_all_dense(self):
+        # kmax=1 keeps the reference's augmented exponential at 2n x 2n
+        n, h = SINE_TRANSFORM_MIN_N + 1, 0.1
+        A = _tridiagonal(n, -2.0, 1.0)
+        cache = build_phi_cache(A, h, [Fraction(1, 3), Fraction(1)], 1)
+        assert cache.sine_transform
+        for c in (Fraction(1, 3), Fraction(1)):
+            assert _phi_all_dense_gap(cache, A, h, c, 1) <= 1e-12
+        with pytest.raises(ValueError):
+            cache.get(Fraction(1), 0)[0, 0] = 99.0
+
+    def test_budget_follows_the_path(self, monkeypatch):
+        import exprk.phi as phimod
+
+        n, nodes = self.N, [Fraction(1, 2), Fraction(1)]
+        monkeypatch.setattr(phimod, "CACHE_BUDGET_BYTES", 3 * n * n * 8 - 1)
+        assert build_phi_cache(_tridiagonal(n, -2.0, 1.0), 0.1, nodes, 5).sine_transform
+        with pytest.raises(ValueError, match=rf"n={n} with 12 entries"):
+            build_phi_cache(np.diag(np.arange(1.0, n + 1)), 0.1, nodes, 5)
 
 
 class TestPhiSeriesOracleSuite:
