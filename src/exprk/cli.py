@@ -5,7 +5,7 @@ Subcommands
 check      verify a scheme's order conditions, CSV residual report
 converge   fixed-step convergence study on a benchmark problem
 integrate  single integration run, one CSV row
-bench      sequential vs concurrent timing (outputs must match bitwise)
+bench      repeated timing of one run (every state must match bitwise)
 trees      list the condition trees up to a given order
 
 Exit codes: 0 on success, 1 when a condition or consistency check fails
@@ -46,7 +46,6 @@ __all__ = [
 
 DEFAULT_STEPS = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8),
                  Fraction(1, 16), Fraction(1, 32))
-_MODE_ALIASES = {"seq": "sequential", "par": "concurrent"}
 
 
 @dataclass
@@ -94,8 +93,8 @@ class ConvergenceReport:
 
 
 def run_convergence(scheme_name: str, problem_name: str, steps=DEFAULT_STEPS,
-                    n: int = 200, t0: float = 0.0, t_end: float = 1.0,
-                    mode: str = "sequential") -> ConvergenceReport:
+                    n: int = 200, t0: float = 0.0,
+                    t_end: float = 1.0) -> ConvergenceReport:
     """Integrate at each step size and tabulate errors and observed orders."""
     scheme = scheme_by_name(scheme_name)
     problem = problem_by_name(problem_name, n)
@@ -107,7 +106,7 @@ def run_convergence(scheme_name: str, problem_name: str, steps=DEFAULT_STEPS,
     for hfrac in steps:
         h = float(hfrac)
         tic = time.perf_counter()
-        result = integrate(scheme, problem, t0, t_end, h, mode=mode)
+        result = integrate(scheme, problem, t0, t_end, h)
         wall = time.perf_counter() - tic
         err = error_at(problem, result.state, t_end)
         p_obs = None
@@ -152,8 +151,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    report = run_convergence(args.scheme, args.problem, steps=args.steps, n=args.n,
-                             mode=_MODE_ALIASES[args.exec])
+    report = run_convergence(args.scheme, args.problem, steps=args.steps, n=args.n)
     _write_out(report.to_csv(), args.out)
     return 0
 
@@ -163,15 +161,14 @@ def cmd_integrate(args) -> int:
     problem = problem_by_name(args.problem, args.n)
     h = float(args.h)
     tic = time.perf_counter()
-    result = integrate(scheme, problem, args.t0, args.t_end, h,
-                       mode=_MODE_ALIASES[args.exec])
+    result = integrate(scheme, problem, args.t0, args.t_end, h)
     wall = time.perf_counter() - tic
     err = error_at(problem, result.state, args.t_end) if problem.exact else float("nan")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scheme", "problem", "h", "steps", "exec", "error", "wall_seconds"])
+    writer.writerow(["scheme", "problem", "h", "steps", "error", "wall_seconds"])
     writer.writerow([scheme.name, problem.name, str(args.h), result.steps,
-                     args.exec, repr(err), repr(wall)])
+                     repr(err), repr(wall)])
     _write_out(buf.getvalue(), args.out)
     return 0
 
@@ -184,33 +181,25 @@ def cmd_bench(args) -> int:
         print("bench needs at least 3 repetitions", file=sys.stderr)
         return 2
     ctx = precompute(scheme, problem.A, h)
-    runs = {"sequential": [], "concurrent": []}
-    states = {}
-    for mode in ("sequential", "concurrent"):
-        for _ in range(args.reps):
-            result = integrate(scheme, problem, args.t0, args.t_end, h,
-                               mode=mode, ctx=ctx)
-            runs[mode].append(result.total_seconds)
-            state = result.state
-            if mode == "concurrent" and args.inject_fault:
-                state = state.copy()
-                state[0] = np.nextafter(state[0], np.inf)
-            if mode in states:
-                if not _bitwise_equal(states[mode], state):
-                    print(f"bench: {mode} runs are not reproducible", file=sys.stderr)
-                    return 1
-            states[mode] = state
-    if not _bitwise_equal(states["sequential"], states["concurrent"]):
-        print("bench: sequential and concurrent outputs differ (correctness bug)",
-              file=sys.stderr)
-        return 1
+    times = []
+    for rep in range(args.reps):
+        result = integrate(scheme, problem, args.t0, args.t_end, h, ctx=ctx)
+        times.append(result.total_seconds)
+        state = result.state
+        if args.inject_fault and rep == args.reps - 1:
+            state = state.copy()
+            state[0] = np.nextafter(state[0], np.inf)
+        if rep == 0:
+            first = state
+        elif not _bitwise_equal(first, state):
+            print(f"bench: run {rep + 1} and run 1 differ (not reproducible)",
+                  file=sys.stderr)
+            return 1
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["mode", "reps", "median_seconds", "min_seconds", "max_seconds"])
-    for mode in ("sequential", "concurrent"):
-        ts = runs[mode]
-        writer.writerow([mode, len(ts), repr(statistics.median(ts)),
-                         repr(min(ts)), repr(max(ts))])
+    writer.writerow(["reps", "median_seconds", "min_seconds", "max_seconds"])
+    writer.writerow([len(times), repr(statistics.median(times)),
+                     repr(min(times)), repr(max(times))])
     _write_out(buf.getvalue(), args.out)
     return 0
 
@@ -266,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--steps", type=_parse_steps,
                         default=list(DEFAULT_STEPS),
                         help="comma list of rational step sizes (default 1/2..1/32)")
-    p_conv.add_argument("--exec", choices=("seq", "par"), default="seq")
     p_conv.set_defaults(func=cmd_converge)
 
     p_int = sub.add_parser("integrate", help="single integration run")
@@ -274,10 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--h", type=Fraction, default=Fraction(1, 32))
     p_int.add_argument("--t0", type=float, default=0.0)
     p_int.add_argument("--t-end", dest="t_end", type=float, default=1.0)
-    p_int.add_argument("--exec", choices=("seq", "par"), default="seq")
     p_int.set_defaults(func=cmd_integrate)
 
-    p_bench = sub.add_parser("bench", help="time sequential vs concurrent stages")
+    p_bench = sub.add_parser("bench", help="time repeated runs, check they agree")
     add_common(p_bench)
     p_bench.add_argument("--h", type=Fraction, default=Fraction(1, 32))
     p_bench.add_argument("--t0", type=float, default=0.0)

@@ -214,8 +214,6 @@ def elementary_differential(tree: Tree, i: int, scheme: Scheme, ev: PhiAtMatrix,
     """
     if tree.kind == "white":
         return float(scheme.c[i]) * w
-    if tree.kind != "node":
-        raise ValueError(f"tree kind {tree.kind!r} does not occur in conditions")
     tensor = maps[path]
     if tree.is_quadrature():
         ell = len(tree.children)

@@ -7,11 +7,8 @@ One step from u at time t with step h reads
 
 with D_j = g(t + c_j h, U_j) - g(t, u). Stages are evaluated group by
 group; stages inside a group read only earlier groups' D values, so a
-group's stage values come from one combination and its g calls can run
-concurrently. Only the g calls run on the executor, so concurrent and
-sequential execution perform identical arithmetic and are bitwise
-reproducible - the benchmark harness treats any mismatch as a correctness
-bug.
+group's stage values are one combination, after which its g calls run in
+stage order. A run is bitwise reproducible.
 
 The dense path builds its phi cache once per (A, h) and then assembles
 nothing per step. For symmetric A the cache holds an eigenbasis and
@@ -33,7 +30,6 @@ the phi combination instead.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,6 +47,9 @@ __all__ = [
     "step",
     "integrate",
 ]
+
+# Relative tolerance of every matrix-free phi combination.
+KRYLOV_TOL = 1e-10
 
 
 class DivergenceError(RuntimeError):
@@ -126,7 +125,6 @@ class StepContext:
     apply_A: object
     groups: tuple
     update: _Group
-    krylov_tol: float = 1e-10
     A: np.ndarray | None = None
 
     @property
@@ -148,8 +146,7 @@ class StepContext:
         return v if self.cache is None else self.cache.to_basis(v)
 
 
-def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False,
-               krylov_tol: float = 1e-10, workers: int | None = None) -> StepContext:
+def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepContext:
     """Build the phi cache (dense path) and the per-group evaluation plans.
 
     A may be a dense matrix or, with krylov=True, any operator action; in the
@@ -161,7 +158,7 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False,
     cache = None
     if not matrix_free:
         kmax = max(scheme.max_phi_index, 1)
-        cache = build_phi_cache(A, h, scheme.nodes_used, kmax, workers=workers)
+        cache = build_phi_cache(A, h, scheme.nodes_used, kmax)
     matrix = None if callable(A) else A
     apply_A = A if matrix is None else (lambda v: A @ v)
 
@@ -192,7 +189,7 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False,
     )
     update = group((), [Fraction(1)], [scheme.b])
     return StepContext(scheme=scheme, h=float(h), cache=cache, apply_A=apply_A,
-                       groups=groups, update=update, krylov_tol=krylov_tol, A=matrix)
+                       groups=groups, update=update, A=matrix)
 
 
 def _combo_vectors(h_eff: float, h: float, F: np.ndarray, rows, D) -> list:
@@ -232,7 +229,7 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray) -> np.ndarray:
         else:
             h_eff = plan.c * h
             vs = _combo_vectors(h_eff, h, F, plan.rows, D)
-            acc = phi_combo_apply_krylov(ctx.apply_A, h_eff, vs, ctx.krylov_tol)
+            acc = phi_combo_apply_krylov(ctx.apply_A, h_eff, vs, KRYLOV_TOL)
         rows.append(acc)
     return np.stack(rows)
 
@@ -244,13 +241,12 @@ def _check_finite(block: np.ndarray, stages: tuple) -> None:
         raise DivergenceError(stage=stages[int(np.argmax(bad))])
 
 
-def step(ctx: StepContext, problem: SemilinearProblem, t: float, u: np.ndarray,
-         executor: ThreadPoolExecutor | None = None) -> np.ndarray:
+def step(ctx: StepContext, problem: SemilinearProblem, t: float,
+         u: np.ndarray) -> np.ndarray:
     """One step of the scheme from (t, u); groups run in scheme order.
 
-    Each group's stage values come from one combination; with an executor
-    the group's g calls run concurrently. Results are identical bit for bit
-    either way.
+    Each group's stage values come from one combination, then g is called
+    once per stage of the group, in stage order.
     """
     u = np.asarray(u, dtype=float)
     D = np.empty((ctx.scheme.s + 1, u.size))
@@ -259,12 +255,8 @@ def step(ctx: StepContext, problem: SemilinearProblem, t: float, u: np.ndarray,
     for group in ctx.groups:
         U = u + _increments(ctx, group, D)
         _check_finite(U, group.stages)
-
-        def stage_g(r):
-            return problem.g(t + group.plans[r].c * ctx.h, U[r])
-
-        run = map if executor is None else executor.map
-        G = np.stack(list(run(stage_g, range(len(group.stages))))) - gn
+        G = np.stack([problem.g(t + plan.c * ctx.h, Ur)
+                      for plan, Ur in zip(group.plans, U)]) - gn
         _check_finite(G, group.stages)
         D[list(group.stages)] = ctx.to_basis(G)
     u_next = u + _increments(ctx, ctx.update, D)[0]
@@ -299,7 +291,7 @@ class TrajectoryResult:
 
     state: np.ndarray
     steps: int
-    mode: str
+    mode: str  # always "sequential"; kept for callers that construct one with it
     step_seconds: list[float]
 
     @property
@@ -321,41 +313,29 @@ def _step_count(t0: float, t_end: float, h: float) -> int:
 
 
 def integrate(scheme: Scheme, problem: SemilinearProblem, t0: float, t_end: float,
-              h: float, mode: str = "sequential", ctx: StepContext | None = None,
-              krylov: bool = False, krylov_tol: float = 1e-10) -> TrajectoryResult:
+              h: float, *, ctx: StepContext | None = None,
+              krylov: bool = False) -> TrajectoryResult:
     """Fixed-step integration of the problem over [t0, t_end].
 
-    mode "concurrent" runs each stage group's g calls on a thread pool and is
-    guaranteed to reproduce the sequential trajectory exactly. A reused ctx
-    must have been built for this scheme and step size, and from a matrix
-    equal to problem.A or, matrix-free, from problem.apply_A itself
+    A reused ctx must have been built for this scheme and step size, and from
+    a matrix equal to problem.A or, matrix-free, from problem.apply_A itself
     (ValueError otherwise).
     """
-    if mode not in ("sequential", "concurrent"):
-        raise ValueError(f"unknown execution mode {mode!r}")
     n_steps = _step_count(t0, t_end, h)
     if ctx is not None:
         _check_context(ctx, scheme, problem, h)
     else:
         operator = problem.A if (problem.A is not None and not krylov) else problem.apply_A
-        ctx = precompute(scheme, operator, h, krylov=krylov, krylov_tol=krylov_tol)
+        ctx = precompute(scheme, operator, h, krylov=krylov)
     u = np.array(problem.u0, dtype=float)
     times: list[float] = []
-    executor = None
-    try:
-        if mode == "concurrent":
-            width = max((len(g) for g in scheme.groups), default=1)
-            executor = ThreadPoolExecutor(max_workers=max(width, 1))
-        t = t0
-        for k in range(n_steps):
-            tic = time.perf_counter()
-            try:
-                u = step(ctx, problem, t, u, executor=executor)
-            except DivergenceError as err:
-                raise DivergenceError(stage=err.stage, step_index=k, t=t, h=h) from None
-            times.append(time.perf_counter() - tic)
-            t = t0 + (k + 1) * h
-    finally:
-        if executor is not None:
-            executor.shutdown()
-    return TrajectoryResult(state=u, steps=n_steps, mode=mode, step_seconds=times)
+    t = t0
+    for k in range(n_steps):
+        tic = time.perf_counter()
+        try:
+            u = step(ctx, problem, t, u)
+        except DivergenceError as err:
+            raise DivergenceError(stage=err.stage, step_index=k, t=t, h=h) from None
+        times.append(time.perf_counter() - tic)
+        t = t0 + (k + 1) * h
+    return TrajectoryResult(state=u, steps=n_steps, mode="sequential", step_seconds=times)

@@ -17,7 +17,6 @@ operator and falls back to the dense route if the subspace saturates.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -284,15 +283,19 @@ def _combo_error_estimate(beta: float, H: np.ndarray, F: np.ndarray, k: int) -> 
     return float(beta * H[k, k - 1] * abs(F[k - 1, 0]))
 
 
+# Krylov subspace size at which phi_combo_apply_krylov first tests convergence.
+_KRYLOV_M0 = 8
+
+
 def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
-                           m0: int = 8, return_info: bool = False):
+                           return_info: bool = False):
     """Matrix-free version of phi_combo_apply with error below tol (relative).
 
     Runs Arnoldi on the augmented operator and checks the standard Hessenberg
-    residual estimate at subspace sizes m0, 2*m0, ... until it drops below
-    tol. One basis is built per call: each doubling extends the columns
-    already computed rather than rebuilding them, and the basis and H grow
-    with it, so memory stays proportional to the size reached. If the
+    residual estimate at subspace sizes _KRYLOV_M0, 2*_KRYLOV_M0, ... until it
+    drops below tol. One basis is built per call: each doubling extends the
+    columns already computed rather than rebuilding them, and the basis and H
+    grow with it, so memory stays proportional to the size reached. If the
     subspace reaches the full augmented dimension without converging, the
     operator is materialized and the dense path is used (reported in the
     info record when requested).
@@ -329,7 +332,7 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
         return top
 
     naug = n + p
-    m = min(m0, naug)
+    m = min(_KRYLOV_M0, naug)
     Vm, Hm = arnoldi(aug_apply, w0, m)
     k = Vm.shape[1]
     while True:
@@ -404,7 +407,6 @@ class PhiCache:
     vectors, between the two coordinates.
     """
 
-    operator_id: object
     h: float
     kmax: int
     entries: dict = field(default_factory=dict)
@@ -454,13 +456,9 @@ class PhiCache:
         Q = self.basis
         return Q if np.array_equal(Q, Q.T) else np.ascontiguousarray(Q.T)
 
-    @property
-    def nodes(self):
-        return sorted({c for (c, _) in self.entries})
-
 
 def _estimate_cache_bytes(n: int, nodes: int, kmax: int, symmetric: bool,
-                          transform: bool, workers: int | None) -> int:
+                          transform: bool) -> int:
     """Bytes the build holds at its peak, roughly."""
     if transform:
         # the tables alone: the basis is never formed
@@ -468,8 +466,8 @@ def _estimate_cache_bytes(n: int, nodes: int, kmax: int, symmetric: bool,
     if symmetric:
         # A, the eigenbasis, and the eigh workspace or the sine index array
         return 3 * n * n * 8
-    concurrent = min(max(workers or 1, 1), nodes)
-    augmented = concurrent * _EXPM_ARRAYS * ((kmax + 1) * n) ** 2 * 8
+    # one node's augmented exponential at a time
+    augmented = _EXPM_ARRAYS * ((kmax + 1) * n) ** 2 * 8
     return nodes * (kmax + 1) * n * n * 8 + augmented
 
 
@@ -517,8 +515,7 @@ def _sine_eigenpairs(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray
     return _sine_eigenvalues(n, a, b), _sine_basis(n)
 
 
-def build_phi_cache(A, h: float, nodes, kmax: int, *, operator_id=None,
-                    workers: int | None = None) -> PhiCache:
+def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
     """phi_0..phi_kmax(c*h*A) for every node c, computed once per (A, h).
 
     Exactly symmetric A goes through one eigendecomposition A = Q diag(lam) Q^T
@@ -531,8 +528,7 @@ def build_phi_cache(A, h: float, nodes, kmax: int, *, operator_id=None,
     Below SINE_TRANSFORM_MIN_N the cache keeps Q as its basis; from there up
     it keeps no Q and changes basis by the sine transform. Other symmetric A
     keep the Q from `eigh`. General matrices store one dense matrix per (c, j)
-    from the augmented block exponential per node; distinct nodes may be
-    computed concurrently via `workers`.
+    from one augmented block exponential per node, built one node at a time.
 
     Raises ValueError, before allocating, if the estimated peak memory of
     the build exceeds CACHE_BUDGET_BYTES.
@@ -551,7 +547,7 @@ def build_phi_cache(A, h: float, nodes, kmax: int, *, operator_id=None,
     # a tridiagonal Toeplitz A is symmetric; the O(n^2) compare runs only without one
     symmetric = toeplitz is not None or np.array_equal(A, A.T)
     transform = toeplitz is not None and n >= SINE_TRANSFORM_MIN_N
-    estimate = _estimate_cache_bytes(n, len(nodes), kmax, symmetric, transform, workers)
+    estimate = _estimate_cache_bytes(n, len(nodes), kmax, symmetric, transform)
     if estimate > CACHE_BUDGET_BYTES:
         raise ValueError(
             f"phi cache for n={n} with {len(nodes) * (kmax + 1)} entries needs about "
@@ -559,7 +555,7 @@ def build_phi_cache(A, h: float, nodes, kmax: int, *, operator_id=None,
             f"{CACHE_BUDGET_BYTES} bytes"
         )
 
-    cache = PhiCache(operator_id=operator_id, h=float(h), kmax=kmax)
+    cache = PhiCache(h=float(h), kmax=kmax)
     if symmetric:
         if transform:
             lam = _sine_eigenvalues(n, *toeplitz)
@@ -575,16 +571,8 @@ def build_phi_cache(A, h: float, nodes, kmax: int, *, operator_id=None,
                 cache.entries[(c, j)] = tables[j]
         return cache
 
-    def build(c):
-        return c, phi_all_dense(float(c) * float(h) * A, kmax)
-
-    if workers is not None and workers > 1 and len(nodes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(build, nodes))
-    else:
-        results = [build(c) for c in nodes]
-    for c, mats in results:
-        for j, mat in enumerate(mats):
+    for c in nodes:
+        for j, mat in enumerate(phi_all_dense(float(c) * float(h) * A, kmax)):
             mat.setflags(write=False)
             cache.entries[(c, j)] = mat
     return cache

@@ -1,10 +1,8 @@
 """Rooted trees indexing the stiff order conditions.
 
-Three node flavours appear:
+Two node flavours appear:
 
-  * a white leaf standing for the first derivative of the solution,
-  * higher-derivative leaves (representable but never enumerated into
-    conditions), and
+  * a white leaf standing for the first derivative of the solution, and
   * black interior nodes combining child trees.
 
 Two families matter for the condition table: trees whose children are all
@@ -27,7 +25,6 @@ __all__ = [
     "Tree",
     "LEAF",
     "leaf",
-    "bullet",
     "node",
     "quadrature_tree",
     "TreeTable",
@@ -39,21 +36,17 @@ __all__ = [
 class Tree:
     """A rooted tree in canonical form.
 
-    kind is "white" (leaf), "bullet" (k-th derivative leaf, k >= 2) or
-    "node" (black interior vertex with a sorted tuple of children).
+    kind is "white" (leaf) or "node" (black interior vertex with a sorted
+    tuple of children).
     """
 
     kind: str
-    k: int = 0
     children: tuple["Tree", ...] = field(default=())
 
     def __post_init__(self):
         if self.kind == "white":
-            if self.k or self.children:
+            if self.children:
                 raise ValueError("white leaf carries no data")
-        elif self.kind == "bullet":
-            if self.k < 2 or self.children:
-                raise ValueError("derivative leaf needs k >= 2 and no children")
         elif self.kind == "node":
             if not self.children:
                 raise ValueError("interior node needs at least one child")
@@ -92,8 +85,6 @@ class Tree:
         """Serialized form, e.g. "[•,•]" or "[[•],•]"."""
         if self.kind == "white":
             return "•"
-        if self.kind == "bullet":
-            return f"•^{self.k}"
         return "[" + ",".join(c.bracket() for c in self.children) + "]"
 
     def __repr__(self):
@@ -104,15 +95,13 @@ class Tree:
 def _order(t: Tree) -> int:
     if t.kind == "white":
         return 1
-    if t.kind == "bullet":
-        return t.k
     return 1 + sum(_order(c) for c in t.children)
 
 
 @functools.cache
 def _symmetry(t: Tree) -> int:
-    if t.kind in ("white", "bullet"):
-        return factorial(_order(t))
+    if t.kind == "white":
+        return 1
     sym = 1
     for child, count in _child_classes(t):
         sym *= factorial(count) * _symmetry(child) ** count
@@ -133,9 +122,7 @@ def _child_classes(t: Tree):
 def _sort_key(t: Tree):
     if t.kind == "white":
         return (0, 0, ())
-    if t.kind == "bullet":
-        return (1, t.k, ())
-    return (2, _order(t), tuple(_sort_key(c) for c in t.children))
+    return (1, _order(t), tuple(_sort_key(c) for c in t.children))
 
 
 LEAF = Tree("white")
@@ -143,10 +130,6 @@ LEAF = Tree("white")
 
 def leaf() -> Tree:
     return LEAF
-
-
-def bullet(k: int) -> Tree:
-    return Tree("bullet", k=k)
 
 
 def node(*children: Tree) -> Tree:

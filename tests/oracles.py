@@ -84,8 +84,6 @@ def _ordered_forms(t) -> set:
     """Distinct ordered (plane) representatives of an unordered rooted tree."""
     if t.kind == "white":
         return {"w"}
-    if t.kind == "bullet":
-        return {("b", t.k)}
     forms = set()
     child_forms = [sorted(_ordered_forms(c), key=repr) for c in t.children]
     for perm in permutations(range(len(t.children))):
@@ -113,6 +111,4 @@ def symmetry_bruteforce(t) -> int:
 def order_bruteforce(t) -> int:
     """Order from the serialized form: leaves plus interior vertices."""
     s = t.bracket()
-    if "^" in s:
-        raise ValueError("bracket-count oracle only covers derivative-free trees")
     return s.count("•") + s.count("[")

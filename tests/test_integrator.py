@@ -133,12 +133,25 @@ def test_scipy_fft_is_imported_only_on_the_transform_path(n, loaded):
 
 @pytest.mark.parametrize("problem", [make_heat1d(64), _nonsymmetric_problem()],
                          ids=["eigenbasis", "general"])
-def test_runs_are_bitwise_reproducible_in_both_modes(problem):
+def test_runs_are_bitwise_reproducible(problem):
     scheme = scheme_by_name("exprk6s16")
     first = integrate(scheme, problem, 0.0, 1.0, 0.125).state
     again = integrate(scheme, problem, 0.0, 1.0, 0.125).state
-    concurrent = integrate(scheme, problem, 0.0, 1.0, 0.125, mode="concurrent").state
-    assert first.tobytes() == again.tobytes() == concurrent.tobytes()
+    assert first.tobytes() == again.tobytes()
+
+
+@pytest.mark.parametrize("option", ["mode", "executor", "workers"])
+def test_entry_points_take_no_concurrency_options(option):
+    scheme, problem = scheme_by_name("expk2"), make_heat1d(16)
+    with pytest.raises(TypeError):
+        exprk.integrate(scheme, problem, 0.0, 1.0, 0.25, **{option: None})
+    with pytest.raises(TypeError):
+        exprk.precompute(scheme, problem.A, 0.25, **{option: None})
+    ctx = exprk.precompute(scheme, problem.A, 0.25)
+    with pytest.raises(TypeError):
+        exprk.step(ctx, problem, 0.0, problem.u0, **{option: None})
+    with pytest.raises(TypeError):
+        exprk.build_phi_cache(problem.A, 0.25, scheme.nodes_used, 1, **{option: None})
 
 
 @pytest.mark.parametrize("h", [1.0, 0.25])

@@ -372,15 +372,6 @@ class TestPhiCache:
         for key in c1.entries:
             assert c1.entries[key].tobytes() == c2.entries[key].tobytes()
 
-    def test_concurrent_build_matches_sequential(self):
-        rng = np.random.default_rng(20)
-        A = rng.standard_normal((6, 6))  # nonsymmetric: augmented path
-        nodes = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1)]
-        seq = build_phi_cache(A, 0.2, nodes, 2)
-        par = build_phi_cache(A, 0.2, nodes, 2, workers=4)
-        for key in seq.entries:
-            assert seq.entries[key].tobytes() == par.entries[key].tobytes()
-
     def test_entries_are_readonly(self):
         cache = build_phi_cache(np.zeros((3, 3)), 1.0, [Fraction(1)], 1)
         with pytest.raises(ValueError):

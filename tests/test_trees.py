@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from exprk.trees import LEAF, Tree, bullet, enumerate_trees, node, quadrature_tree
+from exprk.trees import LEAF, Tree, enumerate_trees, node, quadrature_tree
 from oracles import order_bruteforce, symmetry_bruteforce
 
 
@@ -16,11 +16,6 @@ class TestOrderAndSymmetry:
     def test_mixed_tree_order_four(self):
         # [[•],•]: 1 + (2 + 1), by hand from the recursion
         assert node(node(LEAF), LEAF).order == 4
-
-    def test_bullet_order_and_symmetry(self):
-        assert bullet(3).order == 3
-        assert bullet(3).symmetry == 6
-        assert bullet(2).symmetry == 2
 
     def test_leaf_symmetry_one(self):
         assert LEAF.symmetry == 1
@@ -64,9 +59,7 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             Tree("node", children=())
         with pytest.raises(ValueError):
-            bullet(1)
-        with pytest.raises(ValueError):
-            Tree("white", k=2)
+            Tree("white", children=(LEAF,))
         with pytest.raises(ValueError):
             Tree("purple")
 
@@ -148,7 +141,6 @@ class TestSerialization:
         assert node(node(LEAF), LEAF).bracket() == "[[•],•]"
         assert node(node(node(LEAF))).bracket() == "[[[•]]]"
         assert LEAF.bracket() == "•"
-        assert bullet(4).bracket() == "•^4"
 
     def test_repr_uses_bracket(self):
         assert repr(node(LEAF)) == "Tree([•])"
