@@ -17,7 +17,6 @@ from .problems import error_at, make_heat1d, make_linear_decay
 from .tableaus import (
     PhiPoly,
     Scheme,
-    eval_coeff,
     make_exponential_euler,
     make_expk2,
     make_exprk6s15,
@@ -47,7 +46,6 @@ __all__ = [
     "make_linear_decay",
     "PhiPoly",
     "Scheme",
-    "eval_coeff",
     "make_exponential_euler",
     "make_expk2",
     "make_exprk6s15",

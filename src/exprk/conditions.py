@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .phi import phi_all_dense
+from .phi import PhiCache, phi_all_dense
 from .tableaus import PhiPoly, Scheme
 from .trees import Tree, TreeTable, enumerate_trees
 
@@ -76,14 +76,14 @@ def condition_table(p: int) -> list[Condition]:
     return out
 
 
-class PhiAtMatrix:
-    """Evaluates phi polynomials at a fixed matrix Z, computing each once.
+class PhiAtMatrix(PhiCache):
+    """The dense PhiCache of phi_j(cZ) at a fixed matrix Z (h = 1), filled on use.
 
     One evaluator serves one random model, so everything it returns is
     memoized and read-only:
 
-      * phi(c, j): phi_all_dense runs once per node c (key: the node);
-      * coeff(poly): sum_j w_j phi_j(cZ) is formed once per polynomial
+      * entry(c, j): phi_all_dense runs once per node c, on first use;
+      * coeff(poly): PhiCache.coeff, formed once per polynomial
         (key: id(poly));
       * psi(q, i, scheme, self): each stage defect is formed once
         (key: id(scheme), q, i).
@@ -95,30 +95,27 @@ class PhiAtMatrix:
     """
 
     def __init__(self, Z: np.ndarray, kmax: int):
+        super().__init__(h=1.0, kmax=kmax)
         self.Z = np.asarray(Z, dtype=float)
-        self.kmax = kmax
-        self._cache: dict[Fraction, list[np.ndarray]] = {}
         self._coeffs: dict[int, tuple[PhiPoly, np.ndarray]] = {}
         self._psi: dict[tuple[int, int, int], tuple[Scheme, np.ndarray]] = {}
 
-    def phi(self, c, j: int) -> np.ndarray:
-        c = Fraction(c)
-        if c not in self._cache:
-            block = phi_all_dense(float(c) * self.Z, self.kmax)
-            for m in block:
-                m.setflags(write=False)
-            self._cache[c] = block
-        return self._cache[c][j]
+    def entry(self, c, j: int) -> np.ndarray:
+        # look up first: a hit then hashes the Fraction node once, not twice
+        try:
+            return self.entries[(c, j)]
+        except KeyError:
+            if (c, 0) not in self.entries:
+                for m, mat in enumerate(phi_all_dense(float(c) * self.Z, self.kmax)):
+                    mat.setflags(write=False)
+                    self.entries[(Fraction(c), m)] = mat
+            return super().entry(c, j)
 
     def coeff(self, poly: PhiPoly) -> np.ndarray:
         hit = self._coeffs.get(id(poly))
         if hit is not None and hit[0] is poly:
             return hit[1]
-        n = self.Z.shape[0]
-        out = np.zeros((n, n))
-        for j, w in poly.terms:
-            out += float(w) * self.phi(poly.c, j)
-        out.setflags(write=False)
+        out = super().coeff(poly)
         self._coeffs[id(poly)] = (poly, out)
         return out
 
@@ -138,7 +135,7 @@ def psi(q: int, i: int, scheme: Scheme, ev: PhiAtMatrix) -> np.ndarray:
         poly = scheme.a.get((i, k))
         if poly is not None:
             acc += ev.coeff(poly) * (float(scheme.c[k]) ** (q - 1) / math.factorial(q - 1))
-    out = acc - float(scheme.c[i]) ** q * ev.phi(scheme.c[i], q)
+    out = acc - float(scheme.c[i]) ** q * ev.entry(scheme.c[i], q)
     out.setflags(write=False)
     ev._psi[key] = (scheme, out)
     return out
@@ -150,7 +147,7 @@ def psi_b(q: int, scheme: Scheme, ev: PhiAtMatrix) -> np.ndarray:
     acc = np.zeros((n, n))
     for i, poly in scheme.b.items():
         acc += ev.coeff(poly) * (float(scheme.c[i]) ** (q - 1) / math.factorial(q - 1))
-    return acc - ev.phi(Fraction(1), q)
+    return acc - ev.entry(Fraction(1), q)
 
 
 class RandomModel:
@@ -338,10 +335,15 @@ def check_scheme(scheme: Scheme, p: int, mode: str = "strong", seeds: int = 3,
     """Evaluate every condition of order <= p over several random models.
 
     Reports the maximum residual per condition across the seeds; a condition
-    passes when that maximum stays within tol.
+    passes when that maximum stays within tol. Raises ValueError for p > 6
+    and, before any work, for seeds < 1 or n < 1, which would check nothing.
     """
     if p > 6:
         raise ValueError("condition checks are provided up to order 6")
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if n < 1:
+        raise ValueError(f"model dimension n must be >= 1, got {n}")
     conds = condition_table(p)
     kmax = max(scheme.max_phi_index, p)
     worst = {c.number: 0.0 for c in conds}

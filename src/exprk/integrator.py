@@ -21,8 +21,10 @@ with one more. That is 12 basis changes per exprk6s16 step: one for F, two
 per group and one for the update. Each is a product with the n x n
 eigenvector matrix Q or, for a tridiagonal Toeplitz A with n at or above
 phi.SINE_TRANSFORM_MIN_N, an O(n log n) sine transform that stores no Q.
-For general A the cache holds dense phi matrices, the basis is the
-identity and each stage sums matrix-vector products, one per phi index.
+For general A the cache holds dense phi matrices and the basis is the
+identity; precompute folds each coefficient into one n x n matrix, and a
+group's increments are one matrix-vector product of its folded matrices,
+laid side by side, with the stacked D_j.
 The matrix-free path evaluates each stage with a Krylov approximation of
 the phi combination instead.
 """
@@ -37,7 +39,7 @@ import numpy as np
 
 from .phi import PhiCache, build_phi_cache, phi_combo_apply_krylov
 from .problems import SemilinearProblem
-from .tableaus import Scheme
+from .tableaus import PhiPoly, Scheme
 
 __all__ = [
     "DivergenceError",
@@ -68,13 +70,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class _Plan:
-    """One stage (node c) or the final update (c = 1) as cache entries."""
+    """One stage (node c) or the final update (c = 1) as phi terms."""
 
     c: float
-    phi1: np.ndarray | None
     # rows: ((m, ((j, w), ...)), ...) sorted by phi index m
     rows: tuple
-    phim: dict
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,11 @@ class _Group:
 
     `stages` numbers the rows (empty for the update). The combination reads
     the rows `reads` of the step's D block, whose row 1 holds F with
-    coefficient c_i phi_1(c_i hA). With an eigenbasis, tables[r, k] is row
-    r's coefficient of D[reads[k]] on the eigenvalues, its phi polynomial
-    folded into one table.
+    coefficient c_i phi_1(c_i hA). On the dense path `tables` holds row r's
+    coefficient of D[reads[k]], its phi polynomial folded into one entry:
+    with an eigenbasis tables[r, k] is a table on the eigenvalues, shape
+    (rows, k, n); without, tables[r, :, k] is an n x n matrix, shape
+    (rows, n, k, n), so that each row's matrices lie side by side.
     """
 
     stages: tuple
@@ -103,12 +105,21 @@ def _compile_rows(polys: dict):
     return tuple((m, tuple(by_m[m])) for m in sorted(by_m))
 
 
-def _fold(cache: PhiCache, c: Fraction, terms) -> np.ndarray:
-    """sum_m w_m phi_m(c h lam) over (m, w) in terms: one coefficient as one table."""
-    table = np.zeros_like(cache.entry(c, 1))
-    for m, w in terms:
-        table += float(w) * cache.entry(c, m)
-    return table
+def _stack(cache: PhiCache, n: int, polys: list) -> np.ndarray:
+    """The folded coefficients polys[r][k], laid out as _Group.tables.
+
+    n x n matrices go straight into their side-by-side slots, so the group's
+    matrices are never held twice; the small eigenvalue tables are stacked.
+    """
+    if cache.eigenbasis:
+        tables = np.array([[cache.coeff(poly) for poly in row] for row in polys])
+    else:
+        tables = np.empty((len(polys), n, len(polys[0]), n))
+        for r, row in enumerate(polys):
+            for q, poly in enumerate(row):
+                tables[r, :, q] = cache.coeff(poly)
+    tables.setflags(write=False)
+    return tables
 
 
 @dataclass
@@ -126,10 +137,6 @@ class StepContext:
     groups: tuple
     update: _Group
     A: np.ndarray | None = None
-
-    @property
-    def dense(self) -> bool:
-        return self.cache is not None
 
     @property
     def stage_plans(self) -> dict:
@@ -162,24 +169,15 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepCont
     matrix = None if callable(A) else A
     apply_A = A if matrix is None else (lambda v: A @ v)
 
-    def plan(c: Fraction, polys: dict) -> _Plan:
-        rows = _compile_rows(polys)
-        if cache is None:
-            return _Plan(c=float(c), phi1=None, rows=rows, phim={})
-        return _Plan(c=float(c), phi1=cache.entry(c, 1), rows=rows,
-                     phim={m: cache.entry(c, m) for m, _ in rows})
-
     def group(stages: tuple, nodes: list, polys: list) -> _Group:
-        plans = tuple(plan(c, p) for c, p in zip(nodes, polys))
+        plans = tuple(_Plan(c=float(c), rows=_compile_rows(p)) for c, p in zip(nodes, polys))
         reads = (1,) + tuple(sorted({j for p in polys for j in p}))
         tables = None
-        if cache is not None and cache.eigenbasis:
-            tables = np.array([
-                [_fold(cache, c, [(1, c)])]
-                + [_fold(cache, c, p[j].terms if j in p else ()) for j in reads[1:]]
+        if cache is not None:
+            tables = _stack(cache, np.shape(A)[0], [
+                [PhiPoly.make(c, {1: c})] + [p.get(j, PhiPoly.make(c, {})) for j in reads[1:]]
                 for c, p in zip(nodes, polys)
             ])
-            tables.setflags(write=False)
         return _Group(stages=stages, plans=plans, reads=reads, tables=tables)
 
     groups = tuple(
@@ -208,29 +206,28 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray) -> np.ndarray:
     """h (c_i phi_1(c_i hA) F + sum_j a_ij(hA) D_j), one row per row of the group.
 
     D[1] holds F and D[j] stage j's increment, in the cache's basis
-    coordinates on the dense path; the result is in the original ones. With
-    an eigenbasis the whole group is one contraction of its folded tables
-    and one basis change; otherwise each row sums its phi terms.
+    coordinates on the dense path; the result is in the original ones. On
+    the dense path the whole group is one contraction of its folded
+    coefficients (a product of tables with an eigenbasis, one matrix-vector
+    product without) and one basis change; matrix-free, each row is one
+    Krylov evaluation.
     """
     h = ctx.h
     if group.tables is not None:
-        coords = np.einsum("rkn,kn->rn", group.tables, D[list(group.reads)])
+        # the gathered rows of D are a temporary of the product alone: it is
+        # freed before h * coords and the basis change allocate theirs
+        if ctx.cache.eigenbasis:
+            coords = np.einsum("rkn,kn->rn", group.tables, D[list(group.reads)])
+        else:
+            r, n = group.tables.shape[:2]
+            coords = (group.tables.reshape(r * n, -1)
+                      @ D[list(group.reads)].reshape(-1)).reshape(r, n)
         return ctx.cache.from_basis(h * coords)
-    F = D[1]
     rows = []
     for plan in group.plans:
-        if ctx.dense:
-            acc = (plan.c * h) * ctx.cache.apply(plan.phi1, F)
-            for m, terms in plan.rows:
-                v = np.zeros_like(F)
-                for j, w in terms:
-                    v += w * D[j]
-                acc += h * ctx.cache.apply(plan.phim[m], v)
-        else:
-            h_eff = plan.c * h
-            vs = _combo_vectors(h_eff, h, F, plan.rows, D)
-            acc = phi_combo_apply_krylov(ctx.apply_A, h_eff, vs, KRYLOV_TOL)
-        rows.append(acc)
+        h_eff = plan.c * h
+        vs = _combo_vectors(h_eff, h, D[1], plan.rows, D)
+        rows.append(phi_combo_apply_krylov(ctx.apply_A, h_eff, vs, KRYLOV_TOL))
     return np.stack(rows)
 
 

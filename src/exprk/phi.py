@@ -392,7 +392,7 @@ def _sine_transform(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PhiCache:
-    """Immutable store of phi_j(c*h*A) keyed by (node c, index j).
+    """Immutable store of phi_j(c*h*A) keyed by (node c, index j), of two kinds.
 
     With an eigenbasis, A = Q diag(lam) Q^T is symmetric and each entry is the
     read-only length-n table phi_j(c*h*lam): phi_j(c*h*A) acts on basis
@@ -401,9 +401,12 @@ class PhiCache:
     tridiagonal Toeplitz with n below SINE_TRANSFORM_MIN_N, in closed form as a
     sine matrix. Or, with `sine_transform` set, not at all: A is tridiagonal
     Toeplitz with n at or above SINE_TRANSFORM_MIN_N, and the basis changes
-    are O(n log n) sine transforms. Without an eigenbasis, each entry is the
-    read-only n x n matrix phi_j(c*h*A). `get` returns the matrix in every
-    case. `to_basis` and `from_basis` map a vector, or each row of a block of
+    are O(n log n) sine transforms. Without an eigenbasis, the dense kind,
+    each entry is the read-only n x n matrix phi_j(c*h*A). `coeff` folds a
+    phi polynomial into one entry of the same kind: it is the one evaluator
+    of scheme coefficients, for the integrator and, through PhiAtMatrix, for
+    the order-condition checker. `get` returns a phi matrix in every case.
+    `to_basis` and `from_basis` map a vector, or each row of a block of
     vectors, between the two coordinates.
     """
 
@@ -420,10 +423,11 @@ class PhiCache:
 
     def entry(self, c: Fraction, j: int) -> np.ndarray:
         """The stored table (with an eigenbasis) or matrix (without) for (c, j)."""
-        key = (Fraction(c), j)
-        if key not in self.entries:
-            raise KeyError(f"phi cache has no entry for node {c}, index {j}")
-        return self.entries[key]
+        # a number hashes and compares equal to the Fraction of its value
+        try:
+            return self.entries[(c, j)]
+        except KeyError:
+            raise KeyError(f"phi cache has no entry for node {c}, index {j}") from None
 
     def get(self, c: Fraction, j: int) -> np.ndarray:
         """phi_j(c*h*A) as a read-only n x n matrix, formed on demand with an eigenbasis."""
@@ -435,9 +439,18 @@ class PhiCache:
         mat.setflags(write=False)
         return mat
 
-    def apply(self, entry: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """An entry acting on v, with v in basis coordinates when there is an eigenbasis."""
-        return entry * v if self.eigenbasis else entry @ v
+    def coeff(self, poly) -> np.ndarray:
+        """sum_j w_j phi_j(c*h*A) over the (j, w) terms of a PhiPoly at node c.
+
+        Read-only, and of the entries' kind: a table on the eigenvalues with
+        an eigenbasis, an n x n matrix without. Not memoized: each call folds
+        the entries in term order, from zeros.
+        """
+        out = np.zeros_like(self.entry(poly.c, 0))
+        for j, w in poly.terms:
+            out += float(w) * self.entry(poly.c, j)
+        out.setflags(write=False)
+        return out
 
     def to_basis(self, v: np.ndarray) -> np.ndarray:
         if self.sine_transform:
@@ -530,10 +543,12 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
     keep the Q from `eigh`. General matrices store one dense matrix per (c, j)
     from one augmented block exponential per node, built one node at a time.
 
-    Raises ValueError, before allocating, if the estimated peak memory of
-    the build exceeds CACHE_BUDGET_BYTES.
+    Raises ValueError, before allocating, if kmax < 0 or if the estimated
+    peak memory of the build exceeds CACHE_BUDGET_BYTES.
     """
     A = _as_square_matrix(A)
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
     if not math.isfinite(float(h)):
         raise ValueError("step size must be finite")
     nodes = [Fraction(c) for c in nodes]

@@ -22,9 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
-
-from .phi import PhiCache, phi_scalar
+from .phi import phi_scalar
 
 __all__ = [
     "PhiPoly",
@@ -34,7 +32,6 @@ __all__ = [
     "make_exprk6s16",
     "make_exponential_euler",
     "make_expk2",
-    "eval_coeff",
     "scheme_by_name",
     "SCHEME_NAMES",
 ]
@@ -279,15 +276,3 @@ def scheme_by_name(name: str) -> Scheme:
         return factories[name]()
     except KeyError:
         raise KeyError(f"unknown scheme {name!r}; choose from {SCHEME_NAMES}") from None
-
-
-def eval_coeff(poly: PhiPoly, cache: PhiCache) -> np.ndarray:
-    """Assemble sum_j w_j phi_j(c h A) from cached phi matrices."""
-    mats = [float(w) * cache.get(poly.c, j) for j, w in poly.terms]
-    if not mats:
-        n = next(iter(cache.entries.values())).shape[0]
-        return np.zeros((n, n))
-    out = mats[0].copy()
-    for m in mats[1:]:
-        out += m
-    return out

@@ -45,7 +45,11 @@ def test_bench_fails_on_injected_fault(capsys):
     BENCH + ["--reps", "2"],
     ["integrate", "--scheme", "expk2", "--problem", "nosuch"],
     ["integrate", "--scheme", "expk2", "--n", "16", "--h", "3/10"],
-], ids=["too-few-reps", "unknown-problem", "step-does-not-divide"])
+    ["check", "--scheme", "exprk6s15", "--seeds", "0"],
+    ["check", "--scheme", "exprk6s15", "--seeds", "-2"],
+    ["check", "--scheme", "exprk6s15", "--n", "0"],
+], ids=["too-few-reps", "unknown-problem", "step-does-not-divide",
+        "check-no-seeds", "check-negative-seeds", "check-empty-model"])
 def test_usage_errors_exit_2(argv):
     assert exit_code(argv) == 2
 

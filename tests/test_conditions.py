@@ -17,6 +17,7 @@ from exprk.conditions import (
     psi_b,
     residual,
 )
+from exprk.phi import build_phi_cache
 from exprk.tableaus import (
     make_exponential_euler,
     make_expk2,
@@ -68,7 +69,7 @@ class TestPsi:
         # empty coefficient sum leaves -c_2^q phi_q(c_2 Z)
         for q in (2, 3, 4, 5):
             got = psi(q, 2, s15, ev)
-            want = -float(s15.c[2]) ** q * ev.phi(s15.c[2], q)
+            want = -float(s15.c[2]) ** q * ev.entry(s15.c[2], q)
             assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
 
     def test_enforced_defects_vanish_for_s15(self, s15, ev):
@@ -180,7 +181,7 @@ class TestResidual:
         r = residual(cond1, euler, model, mode="strong")
         assert r > 1e-2
         ev = PhiAtMatrix(model.Z, 2)
-        assert r == pytest.approx(np.linalg.norm(ev.phi(F(1), 2)), rel=1e-12)
+        assert r == pytest.approx(np.linalg.norm(ev.entry(F(1), 2)), rel=1e-12)
 
     def test_expk2_passes_order2_fails_order3(self):
         s = make_expk2()
@@ -243,6 +244,20 @@ class TestResidual:
         with pytest.raises(ValueError):
             check_scheme(s15, p=7)
 
+    @pytest.mark.parametrize("seeds, n, match", [
+        (0, 4, "seeds must be >= 1"), (-2, 4, "seeds must be >= 1"),
+        (3, 0, "n must be >= 1")])
+    def test_rejects_a_check_of_nothing_before_any_work(self, s15, monkeypatch,
+                                                        seeds, n, match):
+        import exprk.conditions as conditions
+
+        def unreachable(*args):
+            raise AssertionError("check_scheme did work before validating")
+
+        monkeypatch.setattr(conditions, "phi_all_dense", unreachable)
+        with pytest.raises(ValueError, match=match):
+            check_scheme(s15, p=6, seeds=seeds, n=n)
+
 
 class TestMemo:
     """The evaluator memoizes per model; results must not depend on it."""
@@ -276,9 +291,27 @@ class TestMemo:
         poly = s16.a[(12, 8)]
         assert ev.coeff(poly) is ev.coeff(poly)
         assert psi(3, 12, s16, ev) is psi(3, 12, s16, ev)
-        for arr in (ev.coeff(poly), ev.phi(F(1, 2), 2), psi(3, 12, s16, ev)):
+        for arr in (ev.coeff(poly), ev.entry(F(1, 2), 2), psi(3, 12, s16, ev)):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
+
+
+class TestSharedEvaluator:
+    """The checker's coefficients and the integrator's come from one fold."""
+
+    @pytest.mark.parametrize("scheme_name", ["s16", "s15"])
+    def test_checker_and_cache_coefficients_are_bitwise_equal(self, scheme_name, request):
+        scheme = request.getfixturevalue(scheme_name)
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((5, 5))
+        # a power-of-two h makes c*(h*A) and (c*h)*A the same floats
+        h, kmax = 0.25, scheme.max_phi_index
+        ev = PhiAtMatrix(h * A, kmax)
+        cache = build_phi_cache(A, h, scheme.nodes_used, kmax)
+        assert not cache.eigenbasis
+        for poly in list(scheme.a.values()) + list(scheme.b.values()):
+            got, want = ev.coeff(poly), cache.coeff(poly)
+            assert got.shape == (5, 5) and got.tobytes() == want.tobytes(), poly
 
 
 class TestRandomModel:

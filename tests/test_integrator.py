@@ -16,7 +16,12 @@ from exprk.cli import run_convergence
 from exprk.integrator import DivergenceError, integrate, precompute
 from exprk.phi import SINE_TRANSFORM_MIN_N, _sine_basis, build_phi_cache
 from exprk.problems import SemilinearProblem, error_at, make_heat1d, make_linear_decay
-from exprk.tableaus import SCHEME_NAMES, eval_coeff, scheme_by_name
+from exprk.tableaus import SCHEME_NAMES, scheme_by_name
+
+
+def _coeff_matrix(poly, cache):
+    """sum_j w_j phi_j(c hA) for a PhiPoly at node c, summed from cache.get matrices."""
+    return sum(float(w) * cache.get(poly.c, j) for j, w in poly.terms)
 
 
 def reference_integrate(scheme, problem, t0, t_end, h):
@@ -27,8 +32,8 @@ def reference_integrate(scheme, problem, t0, t_end, h):
     """
     cache = build_phi_cache(problem.A, h, scheme.nodes_used, max(scheme.max_phi_index, 1))
     phi1 = {c: cache.get(c, 1) for c in scheme.nodes_used}
-    a = {key: eval_coeff(poly, cache) for key, poly in scheme.a.items()}
-    b = {i: eval_coeff(poly, cache) for i, poly in scheme.b.items()}
+    a = {key: _coeff_matrix(poly, cache) for key, poly in scheme.a.items()}
+    b = {i: _coeff_matrix(poly, cache) for i, poly in scheme.b.items()}
     u = np.array(problem.u0, dtype=float)
     for k in range(round((t_end - t0) / h)):
         t = t0 + k * h

@@ -405,8 +405,7 @@ class TestPhiCache:
             with pytest.raises(ValueError):
                 table[0] = 99.0
         v = rng.standard_normal(6)
-        applied = cache.from_basis(cache.apply(cache.entry(Fraction(1, 2), 2),
-                                               cache.to_basis(v)))
+        applied = cache.from_basis(cache.entry(Fraction(1, 2), 2) * cache.to_basis(v))
         assert np.allclose(applied, cache.get(Fraction(1, 2), 2) @ v, rtol=1e-13, atol=1e-15)
 
     def test_budget_refuses_oversized_build(self, monkeypatch):
@@ -422,6 +421,21 @@ class TestPhiCache:
         monkeypatch.setattr(phimod, "CACHE_BUDGET_BYTES", 3 * n * n * 8 - 1)
         with pytest.raises(ValueError, match=r"n=16 with 12 entries"):
             build_phi_cache(symmetric, 0.1, nodes, 5)
+
+    @pytest.mark.parametrize("kind", ["symmetric", "general"])
+    def test_negative_kmax_is_refused_up_front(self, monkeypatch, kind):
+        import exprk.phi as phimod
+
+        def unreachable(*args):
+            raise AssertionError("the build started before kmax was validated")
+
+        monkeypatch.setattr(phimod, "phi_scalar_all", unreachable)
+        monkeypatch.setattr(phimod, "phi_all_dense", unreachable)
+        A = np.diag([-2.0, -1.0, 0.5])
+        if kind == "general":
+            A[0, 2] = 1.0
+        with pytest.raises(ValueError, match="kmax must be >= 0"):
+            build_phi_cache(A, 0.1, [Fraction(1)], -1)
 
 
 def _tridiagonal(n, a, b):

@@ -9,7 +9,6 @@ from exprk.tableaus import (
     PhiPoly,
     Scheme,
     block_weights,
-    eval_coeff,
     make_exponential_euler,
     make_expk2,
     make_exprk6s15,
@@ -297,18 +296,27 @@ class TestBaselines:
             scheme_by_name("rk4")
 
 
+def _coeff_matrix(cache, poly):
+    """PhiCache.coeff of an eigenbasis cache as the n x n matrix Q diag(coeff) Q^T."""
+    coeff = cache.coeff(poly)
+    assert coeff.ndim == 1 and not coeff.flags.writeable
+    return cache.from_basis(coeff * cache.to_basis(np.eye(coeff.size)))
+
+
 class TestEvalCoeff:
+    """Scheme coefficients evaluated by PhiCache.coeff."""
+
     def test_identity_on_zero_operator(self):
         cache = build_phi_cache(np.zeros((3, 3)), 1.0, [F(1)], 1)
         poly = PhiPoly.make(1, {1: 1})
-        assert np.allclose(eval_coeff(poly, cache), np.eye(3), atol=1e-15)
+        assert np.allclose(_coeff_matrix(cache, poly), np.eye(3), atol=1e-15)
 
     def test_rho_row_at_zero_matches_rationals(self, s15):
         # phi_j(0) = 1/j! turns each row into its exact rational value
         cache = build_phi_cache(np.zeros((2, 2)), 1.0, s15.nodes_used, 5)
         for col in (5, 6, 7):
             poly = s15.a[(8, col)]
-            got = eval_coeff(poly, cache)
+            got = _coeff_matrix(cache, poly)
             assert np.allclose(got, float(poly.at_zero()) * np.eye(2), atol=1e-15)
 
     def test_mu_row_spectral_oracle_on_diagonal_matrix(self, s15):
@@ -316,14 +324,14 @@ class TestEvalCoeff:
         h = 0.8
         cache = build_phi_cache(diag, h, s15.nodes_used, 5)
         poly = s15.a[(12, 9)]
-        got = eval_coeff(poly, cache)
+        got = _coeff_matrix(cache, poly)
         want = np.diag([poly.eval_scalar(h * d) for d in np.diag(diag)])
         assert np.allclose(got, want, rtol=1e-11, atol=1e-13)
 
     def test_missing_cache_entry(self):
         cache = build_phi_cache(np.zeros((3, 3)), 1.0, [F(1)], 1)
         with pytest.raises(KeyError):
-            eval_coeff(PhiPoly.make(F(1, 2), {1: 1}), cache)
+            cache.coeff(PhiPoly.make(F(1, 2), {1: 1}))
 
 
 class TestReport:
