@@ -14,6 +14,11 @@ Z, checking them at a random Z of unit norm with independent random tensors
 per interior node exposes any violation (up to roundoff); residuals of
 satisfied conditions sit at ~1e-13 while violated ones are O(1e-4) or larger.
 
+Inside one residual call each tree is evaluated once per (node, stage): a
+node's map at its children's stage-j vectors is formed once and read by
+every parent stage i > j. The arithmetic and its order are the recursion's,
+so the residuals are those of the plain recursion bit for bit.
+
 "strong" mode draws Z at random for every condition; "weak17" additionally
 evaluates the order-6 quadrature condition at Z = 0, which is the regime the
 15-stage scheme is built for.
@@ -24,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,6 +164,8 @@ class RandomModel:
     the arbitrary l-linear map; tensors are drawn deterministically from
     (seed, condition number, node path), so repeated evaluations of the same
     condition see identical maps. Instances are immutable after construction.
+    The seed is an integer or a tuple or list of integers; anything else
+    raises TypeError.
     """
 
     def __init__(self, seed, n: int = 4):
@@ -174,7 +182,8 @@ class RandomModel:
 
     def _key(self, *extra):
         base = self.seed if isinstance(self.seed, (tuple, list)) else (self.seed,)
-        return tuple(int(x) for x in base) + tuple(int(x) for x in extra)
+        # operator.index, not int: a float seed such as 1.7 is refused, not truncated
+        return tuple(operator.index(x) for x in (*base, *extra))
 
     def maps_for(self, cond: Condition) -> dict[tuple, np.ndarray]:
         """Tensors for every interior node of the condition's tree."""
@@ -199,6 +208,69 @@ def _apply_map(tensor: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+class _StageVectors:
+    """The stage vectors of one condition's subtrees, within one residual call.
+
+    scheme, ev, maps, w and sigma_prefactor are fixed for one condition, and
+    the node paths index the subtrees of its tree. `mapped(tree, path, j)`,
+    the node's map applied to its children's stage-j vectors, is formed once
+    per (path, j); for a quadrature node, whose arguments are all w, j is
+    None and it is formed once per path. A subtree's stage-j vector is read
+    only by its parent's mapped(j), so it is formed once as well, where the
+    plain recursion formed it again for every parent stage reading stage j.
+    The arithmetic and its order are the recursion's, so the values are
+    bitwise the same.
+    """
+
+    def __init__(self, scheme: Scheme, ev: PhiAtMatrix, maps: dict,
+                 w: np.ndarray, sigma_prefactor: bool):
+        self.scheme = scheme
+        self.ev = ev
+        self.maps = maps
+        self.w = w
+        self.sigma_prefactor = sigma_prefactor
+        self._mapped: dict[tuple, np.ndarray] = {}
+        self._prefs: dict[tuple, float] = {}
+
+    def vector(self, tree: Tree, path: tuple, i: int) -> np.ndarray:
+        """Stage-i vector of the subtree at path; see elementary_differential."""
+        scheme, ev = self.scheme, self.ev
+        if tree.kind == "white":
+            return float(scheme.c[i]) * self.w
+        if tree.is_quadrature():
+            return psi(len(tree.children) + 1, i, scheme, ev) @ self.mapped(tree, path, None)
+        acc = np.zeros(ev.Z.shape[0])
+        for j in range(2, i):
+            poly = scheme.a.get((i, j))
+            if poly is not None:
+                acc += ev.coeff(poly) @ self.mapped(tree, path, j)
+        return self._pref(tree, path) * acc
+
+    def mapped(self, tree: Tree, path: tuple, j: int | None) -> np.ndarray:
+        """The map of the node at path applied to its children's stage-j vectors."""
+        key = (path, j)
+        out = self._mapped.get(key)
+        if out is None:
+            if j is None:
+                args = [self.w] * len(tree.children)
+            else:
+                args = [self.vector(child, path + (idx,), j)
+                        for idx, child in enumerate(tree.children)]
+            out = self._mapped[key] = _apply_map(self.maps[path], args)
+        return out
+
+    def _pref(self, tree: Tree, path: tuple) -> float:
+        pref = self._prefs.get(path)
+        if pref is None:
+            pref = 1.0
+            if self.sigma_prefactor:
+                pref = float(
+                    Fraction(math.prod(c.symmetry for c in tree.children), tree.symmetry)
+                )
+            self._prefs[path] = pref
+        return pref
+
+
 def elementary_differential(tree: Tree, i: int, scheme: Scheme, ev: PhiAtMatrix,
                             maps: dict, w: np.ndarray, path: tuple = (),
                             sigma_prefactor: bool = True) -> np.ndarray:
@@ -207,34 +279,9 @@ def elementary_differential(tree: Tree, i: int, scheme: Scheme, ev: PhiAtMatrix,
     White leaf: c_i * w. Quadrature child with l leaves: the stage defect of
     index l+1 applied to the node's map at (w, ..., w). Nested child: the
     symmetry prefactor times sum_j a_ij(Z) applied to the node's map at the
-    recursively evaluated grandchildren.
+    grandchildren's stage-j vectors, each formed once per (node, stage).
     """
-    if tree.kind == "white":
-        return float(scheme.c[i]) * w
-    tensor = maps[path]
-    if tree.is_quadrature():
-        ell = len(tree.children)
-        vec = _apply_map(tensor, [w] * ell)
-        return psi(ell + 1, i, scheme, ev) @ vec
-    # nested child
-    pref = 1.0
-    if sigma_prefactor:
-        pref = float(
-            Fraction(math.prod(c.symmetry for c in tree.children), tree.symmetry)
-        )
-    n = ev.Z.shape[0]
-    acc = np.zeros(n)
-    for j in range(2, i):
-        poly = scheme.a.get((i, j))
-        if poly is None:
-            continue
-        args = [
-            elementary_differential(child, j, scheme, ev, maps, w,
-                                    path + (idx,), sigma_prefactor)
-            for idx, child in enumerate(tree.children)
-        ]
-        acc += ev.coeff(poly) @ _apply_map(tensor, args)
-    return pref * acc
+    return _StageVectors(scheme, ev, maps, w, sigma_prefactor).vector(tree, path, i)
 
 
 def residual(cond: Condition, scheme: Scheme, model: RandomModel,
@@ -244,13 +291,24 @@ def residual(cond: Condition, scheme: Scheme, model: RandomModel,
     """Residual norm of one condition under the model's random instance.
 
     In "weak17" mode the order-6 quadrature condition (number 17) is
-    evaluated at Z = 0 instead of the random Z.
+    evaluated at Z = 0 instead of the random Z. Raises ValueError, before
+    any work, for an ev whose Z is not the model's, an ev0 whose Z is not
+    the model's shape of zeros, or either with kmax below
+    max(scheme.max_phi_index, cond.order).
     """
     if mode not in ("strong", "weak17"):
         raise ValueError(f"unknown mode {mode!r}")
     kmax = max(scheme.max_phi_index, cond.order)
     if ev is None:
         ev = PhiAtMatrix(model.Z, kmax)
+    elif ev.Z is not model.Z and not np.array_equal(ev.Z, model.Z):
+        raise ValueError("ev is evaluated at a Z other than the model's")
+    if ev0 is not None and (ev0.Z.shape != model.Z.shape or np.any(ev0.Z)):
+        raise ValueError("ev0 must be evaluated at a zero matrix of the model's shape")
+    for name, evaluator in (("ev", ev), ("ev0", ev0)):
+        if evaluator is not None and evaluator.kmax < kmax:
+            raise ValueError(f"{name}.kmax is {evaluator.kmax}, condition "
+                             f"{cond.number} of {scheme.name} needs {kmax}")
     # quadrature residuals are reported in moment form, (q-1)! * psi_b, so
     # that defects of different orders sit on one scale; otherwise the 1/q!
     # decay of phi_q would shrink a genuinely violated order-6 condition to
@@ -261,17 +319,10 @@ def residual(cond: Condition, scheme: Scheme, model: RandomModel,
         return float(np.linalg.norm(psi_b(cond.order, scheme, ev0))) * math.factorial(cond.order - 1)
     if cond.kind == "b":
         return float(np.linalg.norm(psi_b(cond.order, scheme, ev))) * math.factorial(cond.order - 1)
-    maps = model.maps_for(cond)
-    tensor = maps[()]
-    n = model.n
-    acc = np.zeros(n)
+    stages = _StageVectors(scheme, ev, model.maps_for(cond), model.w, sigma_prefactor)
+    acc = np.zeros(model.n)
     for i, poly in scheme.b.items():
-        args = [
-            elementary_differential(child, i, scheme, ev, maps, model.w,
-                                    (idx,), sigma_prefactor)
-            for idx, child in enumerate(cond.tree.children)
-        ]
-        acc += ev.coeff(poly) @ _apply_map(tensor, args)
+        acc += ev.coeff(poly) @ stages.mapped(cond.tree, (), i)
     return float(np.linalg.norm(acc))
 
 
@@ -336,10 +387,14 @@ def check_scheme(scheme: Scheme, p: int, mode: str = "strong", seeds: int = 3,
 
     Reports the maximum residual per condition across the seeds; a condition
     passes when that maximum stays within tol. Raises ValueError for p > 6
-    and, before any work, for seeds < 1 or n < 1, which would check nothing.
+    and, before any work, for seeds < 1 or n < 1, which would check nothing,
+    and for a tol that is not finite and >= 0, under which every condition
+    would pass or every one fail.
     """
     if p > 6:
         raise ValueError("condition checks are provided up to order 6")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     if n < 1:

@@ -3,14 +3,18 @@
 Everything here deliberately avoids the library's own evaluation paths:
 phi values come from high-precision truncated series, matrix exponentials
 from a long plain series in software arbitrary precision, and tree
-invariants from explicit enumeration of labeled representatives.
+invariants from explicit enumeration of labeled representatives. The one
+exception is residual_ref, the checker's recursion in its first form.
 """
 
 import math
+from fractions import Fraction
 from itertools import permutations, product
 
 import mpmath
 import numpy as np
+
+from exprk.conditions import psi, psi_b
 
 
 def phi_ref(k: int, z: float, terms: int = 50, dps: int = 50) -> float:
@@ -112,3 +116,67 @@ def order_bruteforce(t) -> int:
     """Order from the serialized form: leaves plus interior vertices."""
     s = t.bracket()
     return s.count("•") + s.count("[")
+
+
+# -- order-condition residual by plain recursion ----------------------------
+#
+# The checker's stage-vector recursion in its first form: each child subtree's
+# stage-j vector is recomputed for every parent stage that reads it. It reuses
+# the library's coefficient matrices and stage defects (psi, psi_b, ev.coeff),
+# so its residuals must equal the checker's bit for bit.
+
+
+def _apply_map_ref(tensor, args):
+    out = tensor
+    for v in reversed(args):
+        out = out @ v
+    return out
+
+
+def elementary_differential_ref(tree, i, scheme, ev, maps, w, path=(),
+                                sigma_prefactor=True):
+    """Stage-i vector of the subtree at path, recomputed from scratch."""
+    if tree.kind == "white":
+        return float(scheme.c[i]) * w
+    tensor = maps[path]
+    if tree.is_quadrature():
+        ell = len(tree.children)
+        vec = _apply_map_ref(tensor, [w] * ell)
+        return psi(ell + 1, i, scheme, ev) @ vec
+    pref = 1.0
+    if sigma_prefactor:
+        pref = float(
+            Fraction(math.prod(c.symmetry for c in tree.children), tree.symmetry)
+        )
+    n = ev.Z.shape[0]
+    acc = np.zeros(n)
+    for j in range(2, i):
+        poly = scheme.a.get((i, j))
+        if poly is None:
+            continue
+        args = [
+            elementary_differential_ref(child, j, scheme, ev, maps, w,
+                                        path + (idx,), sigma_prefactor)
+            for idx, child in enumerate(tree.children)
+        ]
+        acc += ev.coeff(poly) @ _apply_map_ref(tensor, args)
+    return pref * acc
+
+
+def residual_ref(cond, scheme, model, mode, ev, ev0, sigma_prefactor=True):
+    """Residual norm of one condition, nested trees by the plain recursion."""
+    if mode == "weak17" and cond.kind == "b" and cond.order == 6:
+        return float(np.linalg.norm(psi_b(cond.order, scheme, ev0))) * math.factorial(cond.order - 1)
+    if cond.kind == "b":
+        return float(np.linalg.norm(psi_b(cond.order, scheme, ev))) * math.factorial(cond.order - 1)
+    maps = model.maps_for(cond)
+    tensor = maps[()]
+    acc = np.zeros(model.n)
+    for i, poly in scheme.b.items():
+        args = [
+            elementary_differential_ref(child, i, scheme, ev, maps, model.w,
+                                        (idx,), sigma_prefactor)
+            for idx, child in enumerate(cond.tree.children)
+        ]
+        acc += ev.coeff(poly) @ _apply_map_ref(tensor, args)
+    return float(np.linalg.norm(acc))

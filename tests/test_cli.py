@@ -1,7 +1,11 @@
 """Command-line harness: exit codes, CSV output and divergence reporting."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,8 +52,12 @@ def test_bench_fails_on_injected_fault(capsys):
     ["check", "--scheme", "exprk6s15", "--seeds", "0"],
     ["check", "--scheme", "exprk6s15", "--seeds", "-2"],
     ["check", "--scheme", "exprk6s15", "--n", "0"],
+    ["check", "--scheme", "exprk6s16", "--tol", "nan"],
+    ["check", "--scheme", "exprk6s16", "--tol", "inf"],
+    ["check", "--scheme", "exprk6s16", "--tol=-1e-10"],
 ], ids=["too-few-reps", "unknown-problem", "step-does-not-divide",
-        "check-no-seeds", "check-negative-seeds", "check-empty-model"])
+        "check-no-seeds", "check-negative-seeds", "check-empty-model",
+        "check-nan-tol", "check-inf-tol", "check-negative-tol"])
 def test_usage_errors_exit_2(argv):
     assert exit_code(argv) == 2
 
@@ -84,3 +92,13 @@ def test_divergence_exits_1_with_one_line(monkeypatch, capsys, command):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"{command}: non-finite values in stage 2 at step 0")
+
+
+def test_runs_as_python_dash_m():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "exprk", "trees", "--order", "3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("number,order,symmetry,kind,tree\n")

@@ -25,6 +25,7 @@ from exprk.tableaus import (
     make_exprk6s16,
 )
 from exprk.trees import LEAF, node, quadrature_tree
+from oracles import elementary_differential_ref, residual_ref
 
 TOL = 1e-10
 
@@ -47,6 +48,17 @@ def model():
 @pytest.fixture(scope="module")
 def ev(model):
     return PhiAtMatrix(model.Z, 6)
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """phi_all_dense fails if reached: arguments must be checked before any work."""
+    import exprk.conditions as conditions
+
+    def unreachable(*args):
+        raise AssertionError("work was done before the arguments were checked")
+
+    monkeypatch.setattr(conditions, "phi_all_dense", unreachable)
 
 
 class TestConditionTable:
@@ -247,16 +259,120 @@ class TestResidual:
     @pytest.mark.parametrize("seeds, n, match", [
         (0, 4, "seeds must be >= 1"), (-2, 4, "seeds must be >= 1"),
         (3, 0, "n must be >= 1")])
-    def test_rejects_a_check_of_nothing_before_any_work(self, s15, monkeypatch,
+    def test_rejects_a_check_of_nothing_before_any_work(self, s15, no_work,
                                                         seeds, n, match):
-        import exprk.conditions as conditions
-
-        def unreachable(*args):
-            raise AssertionError("check_scheme did work before validating")
-
-        monkeypatch.setattr(conditions, "phi_all_dense", unreachable)
         with pytest.raises(ValueError, match=match):
             check_scheme(s15, p=6, seeds=seeds, n=n)
+
+
+class TestArgumentChecks:
+    """Inputs under which a residual or a verdict would mean nothing are refused."""
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+    def test_check_scheme_rejects_a_meaningless_tolerance_before_any_work(
+            self, s16, no_work, tol):
+        # under nan or a negative tol every condition fails, under inf every one passes
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            check_scheme(s16, p=6, tol=tol)
+
+    @pytest.mark.parametrize("seed", [1.7, (DEFAULT_SEED, 0.5), "3"])
+    def test_random_model_rejects_a_non_integer_seed(self, seed):
+        # int() would truncate 1.7 to seed 1 and check another model than asked for
+        with pytest.raises(TypeError):
+            RandomModel(seed, n=4)
+
+    def test_random_model_accepts_numpy_integer_seeds(self):
+        want = RandomModel((DEFAULT_SEED, 1), n=4)
+        for seed in ((np.int64(DEFAULT_SEED), np.int32(1)), [DEFAULT_SEED, 1]):
+            got = RandomModel(seed, n=4)
+            assert np.array_equal(got.Z, want.Z) and np.array_equal(got.w, want.w)
+
+    @pytest.mark.parametrize("number", [17, 36])
+    def test_residual_rejects_an_evaluator_at_another_matrix(self, s16, model,
+                                                             no_work, number):
+        cond = condition_table(6)[number - 1]
+        with pytest.raises(ValueError, match="Z other than the model's"):
+            residual(cond, s16, model, ev=PhiAtMatrix(np.eye(4), 6))
+
+    def test_residual_accepts_an_evaluator_at_an_equal_copy_of_z(self, s16, model, ev):
+        cond = condition_table(6)[35]
+        copy = PhiAtMatrix(model.Z.copy(), 6)
+        assert residual(cond, s16, model, ev=copy) == residual(cond, s16, model, ev=ev)
+
+    @pytest.mark.parametrize("Z0", [np.eye(4), np.zeros((3, 3))], ids=["nonzero", "shape"])
+    def test_residual_rejects_an_ev0_off_the_zero_matrix(self, s15, model, ev, Z0):
+        cond17 = condition_table(6)[16]
+        with pytest.raises(ValueError, match="ev0 must be evaluated at a zero matrix"):
+            residual(cond17, s15, model, mode="weak17", ev=ev, ev0=PhiAtMatrix(Z0, 6))
+
+    @pytest.mark.parametrize("number", [17, 36])
+    def test_residual_rejects_an_evaluator_of_too_low_kmax(self, s16, model,
+                                                           no_work, number):
+        # unchecked, the evaluation stops with a KeyError partway through
+        cond = condition_table(6)[number - 1]
+        with pytest.raises(ValueError, match="ev.kmax is 5"):
+            residual(cond, s16, model, ev=PhiAtMatrix(model.Z, 5))
+
+    def test_residual_rejects_an_ev0_of_too_low_kmax(self, s15, model, ev):
+        cond17 = condition_table(6)[16]
+        with pytest.raises(ValueError, match="ev0.kmax is 5"):
+            residual(cond17, s15, model, mode="weak17", ev=ev,
+                     ev0=PhiAtMatrix(np.zeros((4, 4)), 5))
+
+
+class TestStageVectors:
+    """Each tree is evaluated once per (node, stage), with the recursion's numbers."""
+
+    @pytest.mark.parametrize("base_seed", [DEFAULT_SEED, 2])
+    @pytest.mark.parametrize("scheme_name, mode", [
+        ("s16", "strong"), ("s16", "weak17"), ("s15", "strong"), ("s15", "weak17")])
+    def test_residual_is_bitwise_the_recursive_reference(self, scheme_name, mode,
+                                                         base_seed, request):
+        scheme = request.getfixturevalue(scheme_name)
+        model = RandomModel((base_seed, 0), n=4)
+        kmax = max(scheme.max_phi_index, 6)
+
+        def evaluators():
+            return PhiAtMatrix(model.Z, kmax), PhiAtMatrix(np.zeros_like(model.Z), kmax)
+
+        ev, ev0 = evaluators()
+        ref_ev, ref_ev0 = evaluators()
+        for cond in condition_table(6):
+            got = residual(cond, scheme, model, mode, ev, ev0)
+            want = residual_ref(cond, scheme, model, mode, ref_ev, ref_ev0)
+            assert got == want, cond.number
+
+    @pytest.mark.parametrize("sigma_prefactor", [True, False])
+    def test_elementary_differential_is_bitwise_the_recursive_reference(
+            self, s16, model, ev, sigma_prefactor):
+        for cond in condition_table(6):
+            maps = model.maps_for(cond)
+            for i in (3, 9, 16):
+                got = elementary_differential(cond.tree, i, s16, ev, maps, model.w,
+                                              sigma_prefactor=sigma_prefactor)
+                want = elementary_differential_ref(cond.tree, i, s16, ev, maps, model.w,
+                                                   sigma_prefactor=sigma_prefactor)
+                assert got.tobytes() == want.tobytes(), (cond.number, i)
+
+    def test_each_node_maps_at_most_once_per_stage(self, s16, model, ev, monkeypatch):
+        # the plain recursion makes 325 calls for condition 36, [[[[[•]]]]], against 85
+        import exprk.conditions as conditions
+
+        calls = []
+        apply_map = conditions._apply_map
+
+        def counted(tensor, args):
+            calls.append(1)
+            return apply_map(tensor, args)
+
+        monkeypatch.setattr(conditions, "_apply_map", counted)
+        for cond in condition_table(6):
+            if cond.kind != "nested":
+                continue
+            calls.clear()
+            residual(cond, s16, model, ev=ev)
+            interior = len(model.maps_for(cond))
+            assert len(calls) <= interior * (s16.s + 1), cond.number
 
 
 class TestMemo:
