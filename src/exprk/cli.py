@@ -127,11 +127,18 @@ def _write_out(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _parse_steps(spec: str):
+def _parse_fraction(spec: str) -> Fraction:
     try:
-        return [Fraction(tok.strip()) for tok in spec.split(",") if tok.strip()]
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"bad step list {spec!r}: {err}") from None
+        return Fraction(spec)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {spec!r}") from None
+
+
+def _parse_steps(spec: str):
+    steps = [_parse_fraction(tok.strip()) for tok in spec.split(",") if tok.strip()]
+    if not steps:
+        raise argparse.ArgumentTypeError(f"empty step list {spec!r}")
+    return steps
 
 
 def cmd_check(args) -> int:
@@ -259,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_int = sub.add_parser("integrate", help="single integration run")
     add_common(p_int)
-    p_int.add_argument("--h", type=Fraction, default=Fraction(1, 32))
+    p_int.add_argument("--h", type=_parse_fraction, default=Fraction(1, 32))
     p_int.add_argument("--t0", type=float, default=0.0)
     p_int.add_argument("--t-end", dest="t_end", type=float, default=1.0)
     p_int.set_defaults(func=cmd_integrate)
 
     p_bench = sub.add_parser("bench", help="time repeated runs, check they agree")
     add_common(p_bench)
-    p_bench.add_argument("--h", type=Fraction, default=Fraction(1, 32))
+    p_bench.add_argument("--h", type=_parse_fraction, default=Fraction(1, 32))
     p_bench.add_argument("--t0", type=float, default=0.0)
     p_bench.add_argument("--t-end", dest="t_end", type=float, default=1.0)
     p_bench.add_argument("--reps", type=int, default=5)

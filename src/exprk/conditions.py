@@ -45,7 +45,6 @@ __all__ = [
     "RandomModel",
     "PhiAtMatrix",
     "psi",
-    "psi_b",
     "elementary_differential",
     "residual",
     "ConditionResult",
@@ -127,33 +126,26 @@ class PhiAtMatrix(PhiCache):
 
 
 def psi(q: int, i: int, scheme: Scheme, ev: PhiAtMatrix) -> np.ndarray:
-    """Stage defect sum_k a_ik(Z) c_k^(q-1)/(q-1)! - c_i^q phi_q(c_i Z).
+    """Defect sum_k a_ik(Z) c_k^(q-1)/(q-1)! - c_i^q phi_q(c_i Z) of row i.
 
-    Memoized on ev per (id(scheme), q, i), read-only; see PhiAtMatrix.
+    Row i of scheme.rows: a stage defect for i <= s, and for i = s+1 (node
+    1, weights b) the quadrature defect sum_k b_k(Z) c_k^(q-1)/(q-1)! -
+    phi_q(Z). Memoized on ev per (id(scheme), q, i), read-only; see
+    PhiAtMatrix.
     """
     key = (id(scheme), q, i)
     hit = ev._psi.get(key)
     if hit is not None and hit[0] is scheme:
         return hit[1]
+    ci, row = scheme.rows[i]
     n = ev.Z.shape[0]
     acc = np.zeros((n, n))
-    for k in range(2, i):
-        poly = scheme.a.get((i, k))
-        if poly is not None:
-            acc += ev.coeff(poly) * (float(scheme.c[k]) ** (q - 1) / math.factorial(q - 1))
-    out = acc - float(scheme.c[i]) ** q * ev.entry(scheme.c[i], q)
+    for k, poly in row.items():
+        acc += ev.coeff(poly) * (float(scheme.c[k]) ** (q - 1) / math.factorial(q - 1))
+    out = acc - float(ci) ** q * ev.entry(ci, q)
     out.setflags(write=False)
     ev._psi[key] = (scheme, out)
     return out
-
-
-def psi_b(q: int, scheme: Scheme, ev: PhiAtMatrix) -> np.ndarray:
-    """Quadrature defect sum_i b_i(Z) c_i^(q-1)/(q-1)! - phi_q(Z)."""
-    n = ev.Z.shape[0]
-    acc = np.zeros((n, n))
-    for i, poly in scheme.b.items():
-        acc += ev.coeff(poly) * (float(scheme.c[i]) ** (q - 1) / math.factorial(q - 1))
-    return acc - ev.entry(Fraction(1), q)
 
 
 class RandomModel:
@@ -234,17 +226,23 @@ class _StageVectors:
 
     def vector(self, tree: Tree, path: tuple, i: int) -> np.ndarray:
         """Stage-i vector of the subtree at path; see elementary_differential."""
-        scheme, ev = self.scheme, self.ev
         if tree.kind == "white":
-            return float(scheme.c[i]) * self.w
+            return float(self.scheme.c[i]) * self.w
         if tree.is_quadrature():
-            return psi(len(tree.children) + 1, i, scheme, ev) @ self.mapped(tree, path, None)
-        acc = np.zeros(ev.Z.shape[0])
-        for j in range(2, i):
-            poly = scheme.a.get((i, j))
-            if poly is not None:
-                acc += ev.coeff(poly) @ self.mapped(tree, path, j)
-        return self._pref(tree, path) * acc
+            return (psi(len(tree.children) + 1, i, self.scheme, self.ev)
+                    @ self.mapped(tree, path, None))
+        return self._pref(tree, path) * self.row_sum(tree, path, i)
+
+    def row_sum(self, tree: Tree, path: tuple, i: int) -> np.ndarray:
+        """sum_j coefficient(Z) @ mapped(tree, path, j) over row i of scheme.rows.
+
+        Over a stage row the coefficients are the a_ij; over row s+1 they are
+        the b_j, and at the root that sum is the nested residual.
+        """
+        acc = np.zeros(self.ev.Z.shape[0])
+        for j, poly in self.scheme.rows[i][1].items():
+            acc += self.ev.coeff(poly) @ self.mapped(tree, path, j)
+        return acc
 
     def mapped(self, tree: Tree, path: tuple, j: int | None) -> np.ndarray:
         """The map of the node at path applied to its children's stage-j vectors."""
@@ -309,21 +307,17 @@ def residual(cond: Condition, scheme: Scheme, model: RandomModel,
         if evaluator is not None and evaluator.kmax < kmax:
             raise ValueError(f"{name}.kmax is {evaluator.kmax}, condition "
                              f"{cond.number} of {scheme.name} needs {kmax}")
-    # quadrature residuals are reported in moment form, (q-1)! * psi_b, so
-    # that defects of different orders sit on one scale; otherwise the 1/q!
-    # decay of phi_q would shrink a genuinely violated order-6 condition to
-    # within a few decades of the pass tolerance
-    if mode == "weak17" and cond.kind == "b" and cond.order == 6:
-        if ev0 is None:
-            ev0 = PhiAtMatrix(np.zeros_like(model.Z), kmax)
-        return float(np.linalg.norm(psi_b(cond.order, scheme, ev0))) * math.factorial(cond.order - 1)
+    # quadrature residuals are reported in moment form, (q-1)! times the
+    # update row's defect psi(q, s+1), so that defects of different orders
+    # sit on one scale; otherwise the 1/q! decay of phi_q would shrink a
+    # genuinely violated order-6 condition to within a few decades of the
+    # pass tolerance
     if cond.kind == "b":
-        return float(np.linalg.norm(psi_b(cond.order, scheme, ev))) * math.factorial(cond.order - 1)
+        if mode == "weak17" and cond.order == 6:
+            ev = ev0 if ev0 is not None else PhiAtMatrix(np.zeros_like(model.Z), kmax)
+        return float(np.linalg.norm(psi(cond.order, scheme.s + 1, scheme, ev))) * math.factorial(cond.order - 1)
     stages = _StageVectors(scheme, ev, model.maps_for(cond), model.w, sigma_prefactor)
-    acc = np.zeros(model.n)
-    for i, poly in scheme.b.items():
-        acc += ev.coeff(poly) @ stages.mapped(cond.tree, (), i)
-    return float(np.linalg.norm(acc))
+    return float(np.linalg.norm(stages.row_sum(cond.tree, (), scheme.s + 1)))
 
 
 @dataclass(frozen=True)

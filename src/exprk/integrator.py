@@ -31,9 +31,9 @@ the phi combination instead.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -81,12 +81,12 @@ class _Plan:
 class _Group:
     """Stages combined together, one row each, or the final update as one row.
 
-    `stages` numbers the rows (empty for the update). The combination reads
-    the rows `reads` of the step's D block, whose row 1 holds F with
-    coefficient c_i phi_1(c_i hA). On the dense path `tables` holds row r's
-    coefficient of D[reads[k]], its phi polynomial folded into one entry:
-    with an eigenbasis tables[r, k] is a table on the eigenvalues, shape
-    (rows, k, n); without, tables[r, :, k] is an n x n matrix, shape
+    `stages` numbers the rows as Scheme.rows does, the update as row s+1.
+    The combination reads the rows `reads` of the step's D block, whose row
+    1 holds F with coefficient c_i phi_1(c_i hA). On the dense path `tables`
+    holds row r's coefficient of D[reads[k]], its phi polynomial folded into
+    one entry: with an eigenbasis tables[r, k] is a table on the eigenvalues,
+    shape (rows, k, n); without, tables[r, :, k] is an n x n matrix, shape
     (rows, n, k, n), so that each row's matrices lie side by side.
     """
 
@@ -169,7 +169,8 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepCont
     matrix = None if callable(A) else A
     apply_A = A if matrix is None else (lambda v: A @ v)
 
-    def group(stages: tuple, nodes: list, polys: list) -> _Group:
+    def group(stages: tuple) -> _Group:
+        nodes, polys = zip(*(scheme.rows[i] for i in stages))
         plans = tuple(_Plan(c=float(c), rows=_compile_rows(p)) for c, p in zip(nodes, polys))
         reads = (1,) + tuple(sorted({j for p in polys for j in p}))
         tables = None
@@ -180,14 +181,9 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepCont
             ])
         return _Group(stages=stages, plans=plans, reads=reads, tables=tables)
 
-    groups = tuple(
-        group(g, [scheme.c[i] for i in g],
-              [{j: scheme.a[(i, j)] for j in range(2, i) if (i, j) in scheme.a} for i in g])
-        for g in scheme.groups
-    )
-    update = group((), [Fraction(1)], [scheme.b])
     return StepContext(scheme=scheme, h=float(h), cache=cache, apply_A=apply_A,
-                       groups=groups, update=update, A=matrix)
+                       groups=tuple(group(g) for g in scheme.groups),
+                       update=group((scheme.s + 1,)), A=matrix)
 
 
 def _combo_vectors(h_eff: float, h: float, F: np.ndarray, rows, D) -> list:
@@ -297,6 +293,8 @@ class TrajectoryResult:
 
 
 def _step_count(t0: float, t_end: float, h: float) -> int:
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise ValueError(f"integration span must be finite, got [{t0}, {t_end}]")
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     span = t_end - t0

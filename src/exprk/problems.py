@@ -108,6 +108,8 @@ def make_linear_decay(n: int = 128) -> SemilinearProblem:
     -4(n+1)^2 sin^2(pi / (2(n+1))), so the semidiscrete solution is known in
     closed form and any exponential scheme must reproduce it to roundoff.
     """
+    if n < 1:
+        raise ValueError(f"linear decay needs at least 1 interior point, got {n}")
     A = _dirichlet_laplacian(n)
     A.setflags(write=False)
     x = np.arange(1, n + 1) / (n + 1)

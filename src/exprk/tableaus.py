@@ -1,18 +1,19 @@
 """Scheme definitions: coefficients as exact rational weights on phi functions.
 
 Every coefficient of the integrators here is z -> sum_j w_j phi_j(c z) for a
-node c and rational weights w_j (PhiPoly). The two sixth-order schemes are
-built block by block: each block of parallel stages gets its weights from a
-small moment system over the previous block's nodes,
+node c and rational weights w_j (PhiPoly). A scheme is a table of rows:
+row i = 2..s is stage i at node c_i with {j: a_ij}, row s+1 the update at
+node 1 with {j: b_j}. The two sixth-order schemes are built block by block:
+each block of parallel stages, and the update after the last one, gets its
+rows from a small moment system over the previous block's nodes,
 
     sum_col  w[j][col] * c_col^(q-1)  =  (q-1)! * delta_{qj},
 
 whose unique solution is read off a Lagrange-type basis polynomial
-x * prod_{m != col} (x - c_m) / (c_col * prod (c_col - c_m)). The final
-weights solve the analogous system over the last block, which makes the
-quadrature conditions hold for every matrix argument. All of this is done in
-exact rational arithmetic; floating error enters only when phi matrices are
-evaluated.
+x * prod_{m != col} (x - c_m) / (c_col * prod (c_col - c_m)). For the
+update this makes the quadrature conditions hold for every matrix argument.
+All of this is done in exact rational arithmetic; floating error enters only
+when phi matrices are evaluated.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ class Scheme:
     `a[(i, j)]` weights stage j's nonlinear increment inside stage i,
     `b[i]` weights it in the final update; absent entries are zero.
     `groups` partitions {2..s} into blocks of mutually independent stages.
+    `rows` reads a and b as one table: row i = 2..s is (c_i, {j: a_ij}), row
+    s+1 is (1, b). Each coefficient must be a PhiPoly at its row's node.
     """
 
     name: str
@@ -122,6 +125,8 @@ class Scheme:
         listed = [i for g in self.groups for i in g]
         if sorted(listed) != sorted(stages):
             raise ValueError(f"{self.name}: groups must partition stages 2..{self.s}")
+        if set(self.c) != stages:
+            raise ValueError(f"{self.name}: nodes c must be given for stages 2..{self.s}")
         rank = {i: gi for gi, g in enumerate(self.groups) for i in g}
         for (i, j) in self.a:
             if not (2 <= j < i <= self.s):
@@ -130,67 +135,77 @@ class Scheme:
                 raise ValueError(
                     f"{self.name}: stage {i} reads stage {j} of a non-earlier group"
                 )
+        if set(self.b) - stages:
+            raise ValueError(f"{self.name}: weights b{sorted(set(self.b) - stages)} "
+                             f"are not on stages 2..{self.s}")
+        for i, (c, row) in self.rows.items():
+            for j, poly in row.items():
+                if poly.c != c:
+                    raise ValueError(f"{self.name}: coefficient {j} of row {i} is at "
+                                     f"node {poly.c}, not its row's node {c}")
+
+    @cached_property
+    def rows(self) -> dict[int, tuple[Fraction, dict[int, PhiPoly]]]:
+        """Row i = 2..s+1 as (node, {j: coefficient}): a_ij by ascending j, then (1, b)."""
+        out = {i: (self.c[i], {j: self.a[(i, j)] for j in range(2, i) if (i, j) in self.a})
+               for i in range(2, self.s + 1)}
+        out[self.s + 1] = (Fraction(1), dict(self.b))
+        return out
 
     @property
     def nodes_used(self) -> set[Fraction]:
         """Every node value any phi evaluation needs, including 1 for the update."""
-        used = {Fraction(1)}
-        used.update(self.c.values())
-        return used
+        return {c for c, _ in self.rows.values()}
 
     @cached_property
     def max_phi_index(self) -> int:
-        idx = 1  # the structural phi_1 terms
-        for poly in list(self.a.values()) + list(self.b.values()):
-            idx = max(idx, poly.max_index)
-        return idx
+        # at least 1: the structural phi_1 terms
+        return max([1] + [p.max_index for _, row in self.rows.values() for p in row.values()])
 
     def report(self) -> str:
         """Human-readable dump of nodes, groups and exact weights."""
         lines = [f"scheme {self.name}: {self.s} stage(s)"]
         lines.append("nodes: " + ", ".join(f"c{i}={self.c[i]}" for i in sorted(self.c)))
         lines.append("groups: " + " | ".join("{" + ",".join(map(str, g)) + "}" for g in self.groups))
-        for (i, j) in sorted(self.a):
-            poly = self.a[(i, j)]
-            ws = " + ".join(f"({w})*phi_{k}" for k, w in poly.terms)
-            lines.append(f"a[{i},{j}] @ node {poly.c}: {ws}")
-        for i in sorted(self.b):
-            poly = self.b[i]
-            ws = " + ".join(f"({w})*phi_{k}" for k, w in poly.terms)
-            lines.append(f"b[{i}] @ node {poly.c}: {ws}")
+        for i, (c, row) in self.rows.items():
+            for j in sorted(row):
+                ws = " + ".join(f"({w})*phi_{k}" for k, w in row[j].terms)
+                label = f"a[{i},{j}]" if i <= self.s else f"b[{j}]"
+                lines.append(f"{label} @ node {c}: {ws}")
         return "\n".join(lines)
 
 
-def _stage_rows(rows: list[int], cols: list[int], c: dict[int, Fraction],
-                jmax: int) -> dict[tuple[int, int], PhiPoly]:
-    """Rows of stage coefficients making the stage defects vanish.
+def _stage_rows(rows: list[int], cols: list[int],
+                c: dict[int, Fraction]) -> dict[tuple[int, int], PhiPoly]:
+    """Rows of coefficients making the stage defects vanish.
 
     For each row i the returned a[(i, col)] are phi polynomials at node c_i
-    with weights c_i^j * w[j][col], where w solves the moment system over the
-    column nodes. jmax = len(cols)+1 indices are produced (j = 2..jmax).
+    with weights c_i^j * w[j][col], j = 2..len(cols)+1, where w solves the
+    moment system over the column nodes.
     """
-    block = [c[j] for j in cols]
-    w = block_weights(block)
-    if jmax != len(cols) + 1:
-        raise ValueError("stage block solves exactly len(cols)+1 phi indices")
+    w = block_weights([c[j] for j in cols])
     out = {}
     for i in rows:
         ci = c[i]
         for k, col in enumerate(cols):
             out[(i, col)] = PhiPoly.make(
-                ci, {j: ci**j * w[(j, k)] for j in range(2, jmax + 1)}
+                ci, {j: ci**j * w[(j, k)] for j in range(2, len(cols) + 2)}
             )
     return out
 
 
-def _final_weights(cols: list[int], c: dict[int, Fraction]) -> dict[int, PhiPoly]:
-    """Final update weights at node 1 solving the quadrature conditions."""
-    block = [c[j] for j in cols]
-    w = block_weights(block)
-    return {
-        col: PhiPoly.make(1, {j: w[(j, k)] for j in range(2, len(cols) + 2)})
-        for k, col in enumerate(cols)
-    }
+def _parallel_stages(name: str, c: dict[int, Fraction],
+                     groups: tuple[tuple[int, ...], ...]) -> Scheme:
+    """The scheme whose groups after the first, and then the update (row s+1
+    at node 1), take their rows from _stage_rows over the group before.
+    """
+    s = len(c) + 1
+    coeffs = {}
+    for prev, group in zip(groups, groups[1:] + ((s + 1,),)):
+        coeffs.update(_stage_rows(list(group), list(prev), {**c, s + 1: Fraction(1)}))
+    a = {(i, j): poly for (i, j), poly in coeffs.items() if i <= s}
+    b = {j: poly for (i, j), poly in coeffs.items() if i == s + 1}
+    return Scheme(name=name, s=s, c=c, a=a, b=b, groups=groups)
 
 
 def make_exprk6s15() -> Scheme:
@@ -201,20 +216,11 @@ def make_exprk6s15() -> Scheme:
         8: Fraction(18, 25), 9: third, 10: Fraction(3, 10), 11: Fraction(1, 6),
         12: Fraction(90, 103), 13: third, 14: Fraction(3, 10), 15: fifth,
     }
-    a: dict[tuple[int, int], PhiPoly] = {}
-    for i in (3, 4):
-        a[(i, 2)] = PhiPoly.make(c[i], {2: c[i] ** 2 / c[2]})
-    a.update(_stage_rows([5, 6, 7], [3, 4], c, jmax=3))
-    a.update(_stage_rows([8, 9, 10, 11], [5, 6, 7], c, jmax=4))
-    a.update(_stage_rows([12, 13, 14, 15], [8, 9, 10, 11], c, jmax=5))
-    b = _final_weights([12, 13, 14, 15], c)
-    scheme = Scheme(
-        name="exprk6s15", s=15, c=c, a=a, b=b,
-        groups=((2,), (3, 4), (5, 6, 7), (8, 9, 10, 11), (12, 13, 14, 15)),
-    )
+    scheme = _parallel_stages("exprk6s15", c,
+                              ((2,), (3, 4), (5, 6, 7), (8, 9, 10, 11), (12, 13, 14, 15)))
     # the nodes of the final block must satisfy the order-6 quadrature
     # condition at zero; this pins down why c12 = 90/103
-    target = sum(b[i].at_zero() * c[i] ** 5 for i in b)
+    target = sum(poly.at_zero() * c[i] ** 5 for i, poly in scheme.b.items())
     if target != Fraction(1, 6):
         raise AssertionError(f"final-block node constraint violated: {target} != 1/6")
     return scheme
@@ -228,17 +234,8 @@ def make_exprk6s16() -> Scheme:
         8: half, 9: fifth, 10: quarter, 11: third,
         12: half, 13: fifth, 14: quarter, 15: third, 16: Fraction(1),
     }
-    a: dict[tuple[int, int], PhiPoly] = {}
-    for i in (3, 4):
-        a[(i, 2)] = PhiPoly.make(c[i], {2: c[i] ** 2 / c[2]})
-    a.update(_stage_rows([5, 6, 7], [3, 4], c, jmax=3))
-    a.update(_stage_rows([8, 9, 10, 11], [5, 6, 7], c, jmax=4))
-    a.update(_stage_rows([12, 13, 14, 15, 16], [8, 9, 10, 11], c, jmax=5))
-    b = _final_weights([12, 13, 14, 15, 16], c)
-    return Scheme(
-        name="exprk6s16", s=16, c=c, a=a, b=b,
-        groups=((2,), (3, 4), (5, 6, 7), (8, 9, 10, 11), (12, 13, 14, 15, 16)),
-    )
+    return _parallel_stages("exprk6s16", c,
+                            ((2,), (3, 4), (5, 6, 7), (8, 9, 10, 11), (12, 13, 14, 15, 16)))
 
 
 def make_exponential_euler() -> Scheme:

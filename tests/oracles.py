@@ -14,7 +14,7 @@ from itertools import permutations, product
 import mpmath
 import numpy as np
 
-from exprk.conditions import psi, psi_b
+from exprk.conditions import psi
 
 
 def phi_ref(k: int, z: float, terms: int = 50, dps: int = 50) -> float:
@@ -122,7 +122,7 @@ def order_bruteforce(t) -> int:
 #
 # The checker's stage-vector recursion in its first form: each child subtree's
 # stage-j vector is recomputed for every parent stage that reads it. It reuses
-# the library's coefficient matrices and stage defects (psi, psi_b, ev.coeff),
+# the library's coefficient matrices and row defects (ev.coeff, psi),
 # so its residuals must equal the checker's bit for bit.
 
 
@@ -166,9 +166,9 @@ def elementary_differential_ref(tree, i, scheme, ev, maps, w, path=(),
 def residual_ref(cond, scheme, model, mode, ev, ev0, sigma_prefactor=True):
     """Residual norm of one condition, nested trees by the plain recursion."""
     if mode == "weak17" and cond.kind == "b" and cond.order == 6:
-        return float(np.linalg.norm(psi_b(cond.order, scheme, ev0))) * math.factorial(cond.order - 1)
+        return float(np.linalg.norm(psi(cond.order, scheme.s + 1, scheme, ev0))) * math.factorial(cond.order - 1)
     if cond.kind == "b":
-        return float(np.linalg.norm(psi_b(cond.order, scheme, ev))) * math.factorial(cond.order - 1)
+        return float(np.linalg.norm(psi(cond.order, scheme.s + 1, scheme, ev))) * math.factorial(cond.order - 1)
     maps = model.maps_for(cond)
     tensor = maps[()]
     acc = np.zeros(model.n)

@@ -55,9 +55,19 @@ def test_bench_fails_on_injected_fault(capsys):
     ["check", "--scheme", "exprk6s16", "--tol", "nan"],
     ["check", "--scheme", "exprk6s16", "--tol", "inf"],
     ["check", "--scheme", "exprk6s16", "--tol=-1e-10"],
+    ["integrate", "--scheme", "expk2", "--n", "16", "--h", "1/0"],
+    ["bench", "--scheme", "expk2", "--n", "16", "--h", "1/0"],
+    ["converge", "--scheme", "expk2", "--n", "16", "--steps", "1/2,1/0"],
+    ["converge", "--scheme", "expk2", "--n", "16", "--steps", ","],
+    ["integrate", "--scheme", "expk2", "--problem", "lindecay", "--n", "0"],
+    ["integrate", "--scheme", "expk2", "--n", "16", "--t-end", "inf"],
+    ["integrate", "--scheme", "expk2", "--n", "16", "--t-end", "nan"],
 ], ids=["too-few-reps", "unknown-problem", "step-does-not-divide",
         "check-no-seeds", "check-negative-seeds", "check-empty-model",
-        "check-nan-tol", "check-inf-tol", "check-negative-tol"])
+        "check-nan-tol", "check-inf-tol", "check-negative-tol",
+        "integrate-zero-denominator-h", "bench-zero-denominator-h",
+        "converge-zero-denominator-step", "converge-empty-steps",
+        "lindecay-no-points", "integrate-infinite-t-end", "integrate-nan-t-end"])
 def test_usage_errors_exit_2(argv):
     assert exit_code(argv) == 2
 

@@ -14,7 +14,6 @@ from exprk.conditions import (
     condition_table,
     elementary_differential,
     psi,
-    psi_b,
     residual,
 )
 from exprk.phi import build_phi_cache
@@ -114,15 +113,15 @@ class TestPsi:
 class TestPsiB:
     def test_s16_quadrature_defects_vanish(self, s16, ev):
         for q in range(2, 7):
-            assert np.linalg.norm(psi_b(q, s16, ev)) <= TOL
+            assert np.linalg.norm(psi(q, s16.s + 1, s16, ev)) <= TOL
 
     def test_s15_order6_vanishes_at_zero(self, s15):
         ev0 = PhiAtMatrix(np.zeros((4, 4)), 6)
-        assert np.linalg.norm(psi_b(6, s15, ev0)) <= 1e-12
+        assert np.linalg.norm(psi(6, s15.s + 1, s15, ev0)) <= 1e-12
 
     def test_s15_order6_nonzero_at_random_argument(self, s15, model, ev):
         # negative control: the relaxed condition really is violated
-        assert np.linalg.norm(psi_b(6, s15, ev)) > 1e-6
+        assert np.linalg.norm(psi(6, s15.s + 1, s15, ev)) > 1e-6
         cond17 = condition_table(6)[16]
         assert cond17.number == 17
         assert residual(cond17, s15, model, mode="strong") > 1e-4

@@ -215,6 +215,17 @@ def test_rejects_nonpositive_step(h):
         integrate(scheme_by_name("expeuler"), make_heat1d(16), 0.0, 1.0, h)
 
 
+@pytest.mark.parametrize("t0, t_end", [(0.0, float("inf")), (0.0, float("nan")),
+                                       (float("-inf"), 1.0), (float("nan"), 1.0)])
+def test_rejects_non_finite_span(monkeypatch, t0, t_end):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the span was checked")
+
+    monkeypatch.setattr(exprk.integrator, "precompute", no_work)
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate(scheme_by_name("expeuler"), make_heat1d(16), t0, t_end, 0.25)
+
+
 def test_error_in_a_batched_group_names_its_stage():
     # c_16 = 1, so t == h is stage 16's node in the first step: the last row
     # of the group 12..16, whose other rows stay finite

@@ -111,6 +111,10 @@ class TestLinearDecay:
         p = make_linear_decay(16)
         assert np.array_equal(p.g(0.5, p.u0), np.zeros(16))
 
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError):
+            make_linear_decay(0)
+
     def test_norm_decay_monotone(self):
         p = make_linear_decay(32)
         norms = [discrete_l2(p.exact(t), p.dx) for t in (0.0, 0.2, 0.5, 1.0)]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -266,6 +267,34 @@ class TestSchemaValidation:
             Scheme(name="bad", s=3, c={2: F(1, 2), 3: F(1, 3)},
                    a={(2, 3): PhiPoly.make(F(1, 2), {2: 1})},
                    b={}, groups=((2,), (3,)))
+
+
+    def test_nodes_must_cover_stages(self):
+        for c in ({2: F(1, 2)}, {2: F(1, 2), 3: F(1, 3), 4: F(1)}):
+            with pytest.raises(ValueError, match="nodes c"):
+                Scheme(name="bad", s=3, c=c, a={}, b={}, groups=((2,), (3,)))
+
+    def test_weights_must_be_on_stages(self):
+        for j in (1, 3):
+            with pytest.raises(ValueError, match=rf"b\[{j}\]"):
+                Scheme(name="bad", s=2, c={2: F(1, 2)}, a={},
+                       b={j: PhiPoly.make(1, {2: 1})}, groups=((2,),))
+
+    def test_coefficients_must_sit_at_their_row_node(self, s16):
+        # a[3,2] belongs at c_3 = 1/2, b[16] at the update's node 1
+        moved = {"a": {**s16.a, (3, 2): PhiPoly.make(F(1, 3), s16.a[(3, 2)].weights)},
+                 "b": {**s16.b, 16: PhiPoly.make(F(1, 2), s16.b[16].weights)}}
+        for field, coeffs in moved.items():
+            with pytest.raises(ValueError, match="not its row's node"):
+                replace(s16, **{field: coeffs})
+
+    def test_rows_read_a_then_b(self, s16):
+        assert list(s16.rows) == list(range(2, 18))
+        assert s16.rows[3] == (F(1, 2), {2: s16.a[(3, 2)]})
+        assert s16.rows[17] == (F(1), s16.b)
+        assert list(s16.rows[17][1]) == list(s16.b)
+        e = make_exponential_euler()
+        assert e.rows == {2: (F(1), {})}
 
 
 class TestBaselines:
