@@ -9,19 +9,19 @@ here revolves around three tasks:
   * dense matrices phi_0(M)..phi_k(M) in one shot, and
   * the action sum_j h^j phi_j(hM) v_j on vectors, dense or matrix-free.
 
-Matrix phi values are obtained from a single matrix exponential of an
-augmented block matrix; the matrix-free path runs Arnoldi on the augmented
-operator and falls back to the dense route if the subspace saturates.
+Scalar and dense matrix phi values come from one double-precision kernel,
+scaling and modified squaring (Skaflestad & Wright 2009). The matrix-free
+path runs Arnoldi on an augmented operator and falls back to one dense
+exponential of it if the subspace saturates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -41,90 +41,88 @@ __all__ = [
     "build_phi_cache",
 ]
 
-# |z| below this: Taylor series. The upward recurrence subtracts nearly equal
-# quantities for small |z| and must not be used there.
+# Arguments below SERIES_RADIUS in absolute value (matrices: 1-norm) take the
+# Taylor series; larger ones are halved to below it and squared back up. Real
+# scalars from _DOUBLE_RECURRENCE_RADIUS (and kmax) up take the upward
+# recurrence from exp(z): its per-step error growth factor k/|z| is below 1.
 SERIES_RADIUS = 0.5
 _SERIES_TERMS = 25
-# |z| at or above this the upward recurrence is benign in double precision
-# (per-step error growth factor k/|z| < 1 for all k handled here).
 _DOUBLE_RECURRENCE_RADIUS = 20.0
-# Working precision for the recurrence in the awkward middle band; the
-# recurrence can shed ~11 digits near the series threshold, 40 leaves slack.
-_MP_DPS = 40
 
 
-def _phi_series(k: int, z: float) -> float:
-    # sum_{j>=0} z^j / (j+k)!; successive term ratio |z|/(j+k+1) <= 1/2,
-    # so no cancellation and fsum keeps the result correctly rounded.
-    terms = [z**j / math.factorial(j + k) for j in range(_SERIES_TERMS)]
-    return math.fsum(terms)
+@cache
+def _weights(kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights for k = 0..kmax: the series' [1/(j+k)!] over
+    j < _SERIES_TERMS, and a squaring's [1/(k-j)! if 1 <= j <= k, else 0]."""
+    k = np.arange(kmax + 1)
+    inverse = np.array([1.0 / math.factorial(i) for i in range(kmax + _SERIES_TERMS)])
+    series = inverse[np.add.outer(k, np.arange(_SERIES_TERMS))]
+    lower = np.tril(inverse[np.subtract.outer(k, k)])
+    lower[:, 0] = 0.0
+    series.setflags(write=False)
+    lower.setflags(write=False)
+    return series, lower
 
 
-def _phi_recurrence_mp(k: int, z: float) -> float:
-    with mpmath.workdps(_MP_DPS):
-        zm = mpmath.mpf(z)
-        val = mpmath.exp(zm)
-        for i in range(k):
-            val = (val - mpmath.mpf(1) / mpmath.factorial(i)) / zm
-        return float(val)
+def _halvings(norm):
+    """Least s >= 0 with norm/2^s < SERIES_RADIUS, elementwise."""
+    return np.maximum(np.frexp(norm / SERIES_RADIUS)[1], 0)
+
+
+def _square(phis: np.ndarray, product) -> np.ndarray:
+    """phi_0..phi_kmax at 2X from their values at X, stacked on axis 0:
+    phi_k(2X) = 2^-k [phi_0(X) phi_k(X) + sum_{j=1..k} phi_j(X)/(k-j)!].
+    product is np.multiply for tables of real scalars, where every term is
+    positive and nothing cancels, and np.matmul for matrices."""
+    _, lower = _weights(len(phis) - 1)
+    out = product(phis[0], phis)
+    rows = out.reshape(len(out), -1)
+    rows += lower @ phis.reshape(len(phis), -1)
+    rows *= np.ldexp(1.0, -np.arange(len(rows)))[:, None]
+    return out
 
 
 def phi_scalar(k: int, z: float) -> float:
-    """phi_k(z) for real z, relative error below 1e-14.
-
-    Uses the Taylor series for |z| < SERIES_RADIUS and the upward recurrence
-    starting from exp(z) otherwise (carried in extended precision, since the
-    recurrence alone loses roughly a digit per index near the threshold).
-    """
-    if k < 0:
-        raise ValueError(f"phi index must be >= 0, got {k}")
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"phi argument must be finite, got {z}")
-    if abs(z) < SERIES_RADIUS:
-        return _phi_series(k, z)
-    return _phi_recurrence_mp(k, z)
+    """phi_k(z) for real z, relative error below 1e-14: phi_scalar_all at one point."""
+    return float(phi_scalar_all(k, np.array([float(z)]))[k, 0])
 
 
 def phi_scalar_all(kmax: int, z: np.ndarray) -> np.ndarray:
     """phi_0..phi_kmax on an array of real arguments, shape (kmax+1, len(z)).
 
-    Same branch structure as phi_scalar, with one extra vectorized band:
-    for |z| >= _DOUBLE_RECURRENCE_RADIUS the upward recurrence is stable in
-    double precision, so only the middle band pays for extended precision.
+    In double precision. Below max(_DOUBLE_RECURRENCE_RADIUS, kmax) in
+    absolute value, each element takes its own s = _halvings(|z|): the Taylor
+    series (Horner) at x = z/2^s, then s squarings, with phi_0 at level i
+    recomputed as exp(2^i x) rather than squared. From there up, the upward
+    recurrence from exp(z). Raises ValueError on kmax < 0 or a non-finite z.
     """
-    z = np.asarray(z, dtype=float)
-    out = np.empty((kmax + 1, z.size))
-    flat = z.ravel()
+    if kmax < 0:
+        raise ValueError(f"phi index must be >= 0, got {kmax}")
+    flat = np.asarray(z, dtype=float).ravel()
+    if not np.isfinite(flat).all():
+        raise ValueError("phi arguments must be finite")
+    out = np.empty((kmax + 1, flat.size))
 
-    small = np.abs(flat) < SERIES_RADIUS
-    large = np.abs(flat) >= _DOUBLE_RECURRENCE_RADIUS
-    mid = ~(small | large)
-
-    if np.any(small):
-        zs = flat[small]
-        for k in range(kmax + 1):
-            acc = np.full_like(zs, 1.0 / math.factorial(_SERIES_TERMS - 1 + k))
-            for j in range(_SERIES_TERMS - 2, -1, -1):
-                acc = acc * zs + 1.0 / math.factorial(j + k)
-            out[k, small] = acc
-    if np.any(large):
-        zl = flat[large]
-        row = np.exp(zl)
-        out[0, large] = row
-        for k in range(kmax):
-            row = (row - 1.0 / math.factorial(k)) / zl
-            out[k + 1, large] = row
-    if np.any(mid):
-        idx = np.nonzero(mid)[0]
-        with mpmath.workdps(_MP_DPS):
-            for i in idx:
-                zm = mpmath.mpf(float(flat[i]))
-                val = mpmath.exp(zm)
-                out[0, i] = float(val)
-                for k in range(kmax):
-                    val = (val - mpmath.mpf(1) / mpmath.factorial(k)) / zm
-                    out[k + 1, i] = float(val)
+    large = np.abs(flat) >= max(_DOUBLE_RECURRENCE_RADIUS, kmax)
+    s = _halvings(np.abs(flat))
+    x = np.ldexp(flat, -s)
+    s[large] = 0
+    for k in range(kmax + 1):
+        acc = np.full_like(x, 1.0 / math.factorial(_SERIES_TERMS - 1 + k))
+        for j in range(_SERIES_TERMS - 2, -1, -1):
+            acc = acc * x + 1.0 / math.factorial(j + k)
+        out[k] = acc
+    for i in range(1, int(s.max(initial=0)) + 1):
+        live = s >= i
+        squared = _square(out[:, live], np.multiply)
+        squared[0] = np.exp(np.ldexp(x[live], i))
+        out[:, live] = squared
+    zl = flat[large]
+    row = np.exp(zl)
+    out[0, large] = row
+    for k in range(kmax):
+        row = (row - 1.0 / math.factorial(k)) / zl
+        out[k + 1, large] = row
     return out
 
 
@@ -143,26 +141,34 @@ def expm(M) -> np.ndarray:
     return scipy.linalg.expm(M)
 
 
-def phi_all_dense(M, kmax: int) -> list[np.ndarray]:
-    """[phi_0(M), ..., phi_kmax(M)] from one exponential of a block matrix.
+def phi_all_dense(M, kmax: int) -> np.ndarray:
+    """phi_0(M)..phi_kmax(M) stacked in shape (kmax+1, n, n).
 
-    The (kmax+1)n x (kmax+1)n matrix with M in the top-left block and
-    identities on the block superdiagonal has exp(.) whose top block row is
-    exactly phi_0(M), phi_1(M), ..., phi_kmax(M).
+    X = M/2^s has 1-norm below SERIES_RADIUS. Its _SERIES_TERMS powers from
+    X^0 are formed once, phi_0(X)..phi_kmax(X) are one product of the
+    [1/(j+k)!] weights with them, and each of the s squarings (_square) is
+    one batched matrix product. Raises ValueError on kmax < 0 or a
+    non-finite M.
     """
     M = _as_square_matrix(M)
-    n = M.shape[0]
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    if kmax == 0:
-        return [expm(M)]
-    N = (kmax + 1) * n
-    aug = np.zeros((N, N))
-    aug[:n, :n] = M
-    for k in range(kmax):
-        aug[k * n : (k + 1) * n, (k + 1) * n : (k + 2) * n] = np.eye(n)
-    E = expm(aug)
-    return [E[:n, (k * n) : ((k + 1) * n)].copy() for k in range(kmax + 1)]
+    if not np.isfinite(M).all():
+        raise ValueError("phi of a non-finite matrix")
+    n = M.shape[0]
+    s = int(_halvings(np.abs(M).sum(axis=0).max(initial=0.0)))  # 1-norm
+    powers = np.empty((_SERIES_TERMS, n, n))
+    powers[0], powers[1] = np.eye(n), np.ldexp(M, -s)
+    q = 1
+    while q < _SERIES_TERMS - 1:  # X^(q+1)..X^(2q) = (X^1..X^q) X^q
+        top = min(2 * q, _SERIES_TERMS - 1)
+        np.matmul(powers[1 : top - q + 1], powers[q], out=powers[q + 1 : top + 1])
+        q = top
+    phis = (_weights(kmax)[0] @ powers.reshape(_SERIES_TERMS, -1)).reshape(kmax + 1, n, n)
+    del powers
+    for _ in range(s):
+        phis = _square(phis, np.matmul)
+    return phis
 
 
 def _materialize(apply_A, n: int) -> np.ndarray:
@@ -365,9 +371,6 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
 # Largest working set build_phi_cache may allocate, in bytes. Above it the
 # build is refused with a ValueError instead of running the host out of memory.
 CACHE_BUDGET_BYTES = 4 * 2**30
-# Peak number of (kmax+1)n x (kmax+1)n arrays live during one augmented
-# exponential (scipy's scaling-and-squaring Pade; measured 8 to 9).
-_EXPM_ARRAYS = 9
 # Smallest n at which a tridiagonal Toeplitz A changes basis by the sine
 # transform (DST-I) instead of products with the stored n x n sine matrix.
 # Measured per exprk6s16 step (12 basis changes of 1,1,1,2,2,3,3,4,4,5,5,1
@@ -479,9 +482,10 @@ def _estimate_cache_bytes(n: int, nodes: int, kmax: int, symmetric: bool,
     if symmetric:
         # A, the eigenbasis, and the eigh workspace or the sine index array
         return 3 * n * n * 8
-    # one node's augmented exponential at a time
-    augmented = _EXPM_ARRAYS * ((kmax + 1) * n) ** 2 * 8
-    return nodes * (kmax + 1) * n * n * 8 + augmented
+    # every node's entries, and one phi_all_dense: its argument c*h*A, one
+    # temporary, and the _SERIES_TERMS powers or 2(kmax+1) squaring arrays
+    # (tracemalloc, 5 nodes at n=200: 61.03 n*n*8 bytes at kmax 6)
+    return (nodes * (kmax + 1) + 2 + max(_SERIES_TERMS, 2 * (kmax + 1))) * n * n * 8
 
 
 def _tridiagonal_toeplitz(A: np.ndarray) -> tuple[float, float] | None:
@@ -541,10 +545,11 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
     Below SINE_TRANSFORM_MIN_N the cache keeps Q as its basis; from there up
     it keeps no Q and changes basis by the sine transform. Other symmetric A
     keep the Q from `eigh`. General matrices store one dense matrix per (c, j)
-    from one augmented block exponential per node, built one node at a time.
+    from phi_all_dense, one node at a time.
 
     Raises ValueError, before allocating, if kmax < 0 or if the estimated
-    peak memory of the build exceeds CACHE_BUDGET_BYTES.
+    peak memory of the build exceeds CACHE_BUDGET_BYTES; later, if an entry
+    of c*h*A (general A) or of c*h*lam is not finite.
     """
     A = _as_square_matrix(A)
     if kmax < 0:
@@ -571,23 +576,17 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
         )
 
     cache = PhiCache(h=float(h), kmax=kmax)
-    if symmetric:
-        if transform:
-            lam = _sine_eigenvalues(n, *toeplitz)
-            cache.sine_transform = True
-        else:
-            lam, Q = np.linalg.eigh(A) if toeplitz is None else _sine_eigenpairs(n, *toeplitz)
-            Q.setflags(write=False)
-            cache.basis = Q
-        for c in nodes:
-            tables = phi_scalar_all(kmax, float(c) * float(h) * lam)
-            tables.setflags(write=False)
-            for j in range(kmax + 1):
-                cache.entries[(c, j)] = tables[j]
-        return cache
-
+    if transform:
+        lam = _sine_eigenvalues(n, *toeplitz)
+        cache.sine_transform = True
+    elif symmetric:
+        lam, Q = np.linalg.eigh(A) if toeplitz is None else _sine_eigenpairs(n, *toeplitz)
+        Q.setflags(write=False)
+        cache.basis = Q
     for c in nodes:
-        for j, mat in enumerate(phi_all_dense(float(c) * float(h) * A, kmax)):
-            mat.setflags(write=False)
-            cache.entries[(c, j)] = mat
+        stack = (phi_scalar_all(kmax, float(c) * float(h) * lam) if symmetric
+                 else phi_all_dense(float(c) * float(h) * A, kmax))
+        stack.setflags(write=False)
+        for j in range(kmax + 1):
+            cache.entries[(c, j)] = stack[j]
     return cache

@@ -1,10 +1,11 @@
 """Independent reference computations used by the tests.
 
 Everything here deliberately avoids the library's own evaluation paths:
-phi values come from high-precision truncated series, matrix exponentials
-from a long plain series in software arbitrary precision, and tree
-invariants from explicit enumeration of labeled representatives. The one
-exception is residual_ref, the checker's recursion in its first form.
+phi values come from extended-precision series or closed forms, matrix
+exponentials from a long plain series in software arbitrary precision, dense
+phi matrices also from one scipy exponential of an augmented block matrix,
+and tree invariants from explicit enumeration of labeled representatives.
+The one exception is residual_ref, the checker's recursion in its first form.
 """
 
 import math
@@ -13,18 +14,24 @@ from itertools import permutations, product
 
 import mpmath
 import numpy as np
+import scipy.linalg
 
 from exprk.conditions import psi
 
 
-def phi_ref(k: int, z: float, terms: int = 50, dps: int = 50) -> float:
-    """phi_k(z) by a high-precision truncated Taylor series."""
+def phi_ref(k: int, z: float, dps: int = 60) -> float:
+    """phi_k(z) in extended precision, for k <= 30 and any real z.
+
+    |z| < 1 takes the 60-term Taylor series. Elsewhere the closed form
+    (e^z - sum_{j<k} z^j/j!)/z^k cancels at most log10(e k!) digits (at
+    |z| = 1), which 60 digits leave room for.
+    """
     with mpmath.workdps(dps):
         zm = mpmath.mpf(z)
-        acc = mpmath.mpf(0)
-        for j in range(terms):
-            acc += zm**j / mpmath.factorial(j + k)
-        return float(acc)
+        if abs(zm) < 1:
+            return float(mpmath.fsum(zm**j / mpmath.factorial(j + k) for j in range(60)))
+        head = mpmath.fsum(zm**j / mpmath.factorial(j) for j in range(k))
+        return float((mpmath.exp(zm) - head) / zm**k)
 
 
 def expm_ref(M: np.ndarray, terms: int = 200, dps: int = 60) -> np.ndarray:
@@ -58,6 +65,19 @@ def phi_matrix_series_ref(M: np.ndarray, kmax: int, terms: int = 120,
             out.append(np.array([[float(acc[i, jj]) for jj in range(n)]
                                  for i in range(n)]))
         return out
+
+
+def phi_augmented_ref(M: np.ndarray, kmax: int) -> list[np.ndarray]:
+    """[phi_0(M)..phi_kmax(M)], the top block row of exp of the (kmax+1)n square
+    matrix with M in its top-left block and identities on its block
+    superdiagonal (scipy's scaling and squaring Pade exponential)."""
+    n = M.shape[0]
+    aug = np.zeros(((kmax + 1) * n, (kmax + 1) * n))
+    aug[:n, :n] = M
+    for k in range(kmax):
+        aug[k * n : (k + 1) * n, (k + 1) * n : (k + 2) * n] = np.eye(n)
+    E = scipy.linalg.expm(aug)
+    return [E[:n, k * n : (k + 1) * n] for k in range(kmax + 1)]
 
 
 def phi_spectral_ref(M: np.ndarray, kmax: int) -> list[np.ndarray]:

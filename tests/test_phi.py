@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,13 @@ from exprk.phi import (
     phi_scalar,
     phi_scalar_all,
 )
-from oracles import expm_ref, phi_matrix_series_ref, phi_ref, phi_spectral_ref
+from oracles import (
+    expm_ref,
+    phi_augmented_ref,
+    phi_matrix_series_ref,
+    phi_ref,
+    phi_spectral_ref,
+)
 
 
 class TestPhiScalar:
@@ -78,19 +89,28 @@ class TestPhiScalar:
         with pytest.raises(ValueError):
             phi_scalar(2, math.nan)
 
-    def test_array_evaluator_matches_scalar(self):
+    def test_array_evaluator_matches_oracle_on_all_bands(self):
         rng = np.random.default_rng(7)
         z = np.concatenate([
-            rng.uniform(-0.49, 0.49, 10),          # series band
-            rng.uniform(0.5, 19.0, 10),            # extended-precision band
-            rng.uniform(-19.0, -0.5, 10),
-            rng.uniform(20.0, 200.0, 5),           # double recurrence band
-            rng.uniform(-200.0, -20.0, 5),
+            rng.uniform(-0.5, 0.5, 20),            # series band
+            rng.uniform(0.5, 20.0, 20),            # scaling and squaring band
+            rng.uniform(-20.0, -0.5, 20),
+            [0.5, -0.5, 1.0, 19.99, -19.99],
+            [20.0, -20.0, -1e4],                   # double recurrence band
+            -(10.0 ** rng.uniform(math.log10(20.0), 4.0, 20)),
         ])
         vals = phi_scalar_all(6, z)
         for i, zi in enumerate(z):
             for k in range(7):
-                assert vals[k, i] == pytest.approx(phi_scalar(k, float(zi)), rel=1e-13)
+                # phi_0 underflows below z = -708: no relative accuracy there
+                want = pytest.approx(phi_ref(k, float(zi)), rel=1e-14,
+                                     abs=np.finfo(float).tiny)
+                assert vals[k, i] == want, (k, zi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_array_evaluator_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            phi_scalar_all(3, np.array([0.1, bad, -30.0]))
 
     def test_series_threshold_documented(self):
         assert SERIES_RADIUS == 0.5
@@ -135,6 +155,22 @@ class TestPhiAllDense:
         mats = phi_all_dense(np.array([[1.0]]), 1)
         assert mats[0][0, 0] == pytest.approx(math.e, rel=1e-14)
         assert mats[1][0, 0] == pytest.approx(math.e - 1.0, rel=1e-14)
+
+    def test_rejects_nonfinite(self):
+        M = np.zeros((3, 3))
+        M[1, 2] = -math.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            phi_all_dense(M, 2)
+
+    @pytest.mark.parametrize("kmax", [0, 6])
+    @pytest.mark.parametrize("n", [40, 120])
+    def test_advection_diffusion_matches_augmented_oracle(self, n, kmax):
+        # upwinded u_t = u_xx - 20 u_x on (0, 1), Dirichlet, at h = 1/8:
+        # non-normal, with ||hA||_1 = 1.0e3 (n=40) and 7.9e3 (n=120)
+        M = _advection_diffusion(n) / 8
+        for got, want in zip(phi_all_dense(M, kmax), phi_augmented_ref(M, kmax)):
+            gap = np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+            assert gap <= 1e-11
 
     def test_against_spectral_oracle(self):
         rng = np.random.default_rng(5)
@@ -352,7 +388,7 @@ class TestPhiCache:
         A = A + A.T
         h = 0.2
         cache = build_phi_cache(A, h, [Fraction(1, 3)], 4)
-        ref = phi_all_dense(float(Fraction(1, 3)) * h * A, 4)
+        ref = phi_augmented_ref(float(Fraction(1, 3)) * h * A, 4)
         for j in range(5):
             assert np.linalg.norm(cache.get(Fraction(1, 3), j) - ref[j]) <= 1e-11
 
@@ -437,9 +473,23 @@ class TestPhiCache:
         with pytest.raises(ValueError, match="kmax must be >= 0"):
             build_phi_cache(A, 0.1, [Fraction(1)], -1)
 
+    @pytest.mark.parametrize("n", [8, SINE_TRANSFORM_MIN_N])
+    def test_non_finite_eigenvalues_are_refused(self, n):
+        # -inf on the diagonal is still tridiagonal Toeplitz, so the tables
+        # see eigenvalues -inf; they used to come out as phi values of zero
+        with pytest.raises(ValueError, match="must be finite"):
+            build_phi_cache(_tridiagonal(n, -math.inf, 1.0), 0.1, [Fraction(1)], 3)
+
 
 def _tridiagonal(n, a, b):
-    return a * np.eye(n) + b * (np.eye(n, k=1) + np.eye(n, k=-1))
+    return np.diag(np.full(n, a)) + b * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+def _advection_diffusion(n, velocity=20.0):
+    """u_xx - velocity u_x on n interior points of (0, 1), upwinded."""
+    dx = 1.0 / (n + 1)
+    A = _tridiagonal(n, -2.0, 1.0) / dx**2
+    return A + velocity / dx * (np.eye(n, k=-1) - np.eye(n))
 
 
 def _phi_all_dense_gap(cache, A, h, c, kmax):
@@ -536,7 +586,6 @@ class TestSineTransformPath:
         assert np.linalg.norm(coords - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_get_matches_phi_all_dense(self):
-        # kmax=1 keeps the reference's augmented exponential at 2n x 2n
         n, h = SINE_TRANSFORM_MIN_N + 1, 0.1
         A = _tridiagonal(n, -2.0, 1.0)
         cache = build_phi_cache(A, h, [Fraction(1, 3), Fraction(1)], 1)
@@ -566,3 +615,18 @@ class TestPhiSeriesOracleSuite:
             ref = phi_matrix_series_ref(M, 6)
             for g, r in zip(got, ref):
                 assert np.linalg.norm(g - r) <= 1e-12 * max(1.0, np.linalg.norm(r))
+
+
+def test_runs_without_mpmath():
+    """mpmath is a test dependency only: the package builds a heat1d context
+    and checks a scheme with every import of it failing."""
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["mpmath"] = None
+        from exprk import check_scheme, make_exprk6s16, make_heat1d, precompute
+        precompute(make_exprk6s16(), make_heat1d(32).A, 0.125)
+        assert check_scheme(make_exprk6s16(), 3, seeds=1).all_passed
+    """)
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
