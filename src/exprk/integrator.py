@@ -27,6 +27,20 @@ group's increments are one matrix-vector product of its folded matrices,
 laid side by side, with the stacked D_j.
 The matrix-free path evaluates each stage with a Krylov approximation of
 the phi combination instead.
+
+A step is six rounds for exprk6s16, five groups and the update, so the
+fixed cost of a round counts as much as its arithmetic at small n. Each
+group's round is: the combination and its basis change; u added in place;
+a finiteness check; g once per stage, each row written into one block, and
+g(t, u) subtracted in place; a second finiteness check; one basis change
+scattered into D. Row gathers and scatters of D use index arrays built by
+precompute, and a finiteness check reduces the block's mask once, scanning
+rows only when that fails.
+
+`step` is a module-level function that `integrate` looks up at each call,
+and a step calls problem.f(t, u) once, problem.g(t, u) once more and g once
+per stage. The benchmark's tracer relies on both: it patches `step` to
+time each step and counts the g calls.
 """
 
 from __future__ import annotations
@@ -81,9 +95,11 @@ class _Plan:
 class _Group:
     """Stages combined together, one row each, or the final update as one row.
 
-    `stages` numbers the rows as Scheme.rows does, the update as row s+1.
-    The combination reads the rows `reads` of the step's D block, whose row
-    1 holds F with coefficient c_i phi_1(c_i hA). On the dense path `tables`
+    `stages` numbers the rows as Scheme.rows does, the update as row s+1,
+    and `index` holds the same numbers as an index array into the step's D
+    block. The combination reads the rows `reads` of D, an index array built
+    once, whose first entry is row 1: F, with coefficient c_i phi_1(c_i hA).
+    On the dense path `tables`
     holds row r's coefficient of D[reads[k]], its phi polynomial folded into
     one entry: with an eigenbasis tables[r, k] is a table on the eigenvalues,
     shape (rows, k, n); without, tables[r, :, k] is an n x n matrix, shape
@@ -91,8 +107,9 @@ class _Group:
     """
 
     stages: tuple
+    index: np.ndarray
     plans: tuple
-    reads: tuple
+    reads: np.ndarray
     tables: np.ndarray | None
 
 
@@ -179,7 +196,8 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepCont
                 [PhiPoly.make(c, {1: c})] + [p.get(j, PhiPoly.make(c, {})) for j in reads[1:]]
                 for c, p in zip(nodes, polys)
             ])
-        return _Group(stages=stages, plans=plans, reads=reads, tables=tables)
+        return _Group(stages=stages, index=np.array(stages), plans=plans,
+                      reads=np.array(reads), tables=tables)
 
     return StepContext(scheme=scheme, h=float(h), cache=cache, apply_A=apply_A,
                        groups=tuple(group(g) for g in scheme.groups),
@@ -211,14 +229,15 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray) -> np.ndarray:
     h = ctx.h
     if group.tables is not None:
         # the gathered rows of D are a temporary of the product alone: it is
-        # freed before h * coords and the basis change allocate theirs
+        # freed before the basis change allocates its result
         if ctx.cache.eigenbasis:
-            coords = np.einsum("rkn,kn->rn", group.tables, D[list(group.reads)])
+            coords = np.einsum("rkn,kn->rn", group.tables, D[group.reads])
         else:
             r, n = group.tables.shape[:2]
             coords = (group.tables.reshape(r * n, -1)
-                      @ D[list(group.reads)].reshape(-1)).reshape(r, n)
-        return ctx.cache.from_basis(h * coords)
+                      @ D[group.reads].reshape(-1)).reshape(r, n)
+        coords *= h
+        return ctx.cache.from_basis(coords)
     rows = []
     for plan in group.plans:
         h_eff = plan.c * h
@@ -228,34 +247,47 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(block: np.ndarray, stages: tuple) -> None:
-    """Raise DivergenceError naming the first stage whose row is not finite."""
-    bad = ~np.isfinite(block).all(axis=1)
-    if bad.any():
-        raise DivergenceError(stage=stages[int(np.argmax(bad))])
+    """Raise DivergenceError naming the first stage whose row is not finite.
+
+    The rows are scanned only when the whole block fails. The test is not
+    whether block.sum() is finite: a finite block's sum can overflow, and
+    numpy warns when it does.
+    """
+    finite = np.isfinite(block)
+    if not finite.all():
+        raise DivergenceError(stage=stages[int(np.argmin(finite.all(axis=1)))])
 
 
 def step(ctx: StepContext, problem: SemilinearProblem, t: float,
          u: np.ndarray) -> np.ndarray:
     """One step of the scheme from (t, u); groups run in scheme order.
 
-    Each group's stage values come from one combination, then g is called
-    once per stage of the group, in stage order.
+    Calls problem.f(t, u) once and problem.g(t, u) once, then, per group,
+    forms the stage values from one combination and calls g once per stage
+    of the group, in stage order. Neither u nor any array g returns is
+    written to. Raises DivergenceError naming the first stage, or the final
+    update, whose values are not finite. `integrate` looks this function up
+    at each step, so a wrapper patched over it, as the benchmark's tracer
+    does, times every step.
     """
     u = np.asarray(u, dtype=float)
     D = np.empty((ctx.scheme.s + 1, u.size))
     D[1] = ctx.to_basis(problem.f(t, u))
     gn = problem.g(t, u)
     for group in ctx.groups:
-        U = u + _increments(ctx, group, D)
+        U = _increments(ctx, group, D)
+        U += u
         _check_finite(U, group.stages)
-        G = np.stack([problem.g(t + plan.c * ctx.h, Ur)
-                      for plan, Ur in zip(group.plans, U)]) - gn
+        G = np.empty_like(U)
+        for r, plan in enumerate(group.plans):
+            G[r] = problem.g(t + plan.c * ctx.h, U[r])
+        G -= gn
         _check_finite(G, group.stages)
-        D[list(group.stages)] = ctx.to_basis(G)
-    u_next = u + _increments(ctx, ctx.update, D)[0]
-    if not np.all(np.isfinite(u_next)):
-        raise DivergenceError(stage=None)
-    return u_next
+        D[group.index] = ctx.to_basis(G)
+    u_next = _increments(ctx, ctx.update, D)
+    u_next += u
+    _check_finite(u_next, (None,))
+    return u_next[0]
 
 
 def _check_context(ctx: StepContext, scheme: Scheme, problem: SemilinearProblem,

@@ -13,7 +13,7 @@ import pytest
 
 import exprk
 from exprk.cli import run_convergence
-from exprk.integrator import DivergenceError, integrate, precompute
+from exprk.integrator import DivergenceError, _check_finite, integrate, precompute, step
 from exprk.phi import SINE_TRANSFORM_MIN_N, _sine_basis, build_phi_cache
 from exprk.problems import SemilinearProblem, error_at, make_heat1d, make_linear_decay
 from exprk.tableaus import SCHEME_NAMES, scheme_by_name
@@ -238,6 +238,89 @@ def test_error_in_a_batched_group_names_its_stage():
     with pytest.raises(DivergenceError) as caught:
         integrate(scheme_by_name("exprk6s16"), replace(problem, g=g), 0.0, 1.0, h)
     assert (caught.value.stage, caught.value.step_index) == (16, 0)
+
+
+def test_finite_block_whose_sum_overflows_passes():
+    block = np.full((3, 4), 1e308)
+    with np.errstate(over="ignore"):
+        assert np.isinf(block.sum())
+    _check_finite(block, (5, 6, 7))
+
+
+# rows of 1e308 make the sum overflow whatever the bad entry is
+@pytest.mark.parametrize("base", [0.0, 1e308])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_non_finite_entry_names_its_rows_stage(base, bad, row):
+    block = np.full((3, 4), base)
+    block[row, 2] = bad
+    with pytest.raises(DivergenceError) as caught:
+        _check_finite(block, (5, 6, 7))
+    assert caught.value.stage == (5, 6, 7)[row]
+
+
+def _still_problem(n, u0, g):
+    """u' = 0 u + g(t, u), so that every stage value is u while D stays 0."""
+    A = np.zeros((n, n))
+    A.setflags(write=False)
+    return SemilinearProblem(name="still", n=n, A=A, apply_A=lambda v: A @ v, g=g,
+                             u0=u0, dx=1.0 / (n + 1))
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_finite_states_whose_sums_overflow_pass(name):
+    u0 = np.full(8, 1e308)
+    problem = _still_problem(8, u0, lambda t, u: np.zeros_like(u))
+    state = integrate(scheme_by_name(name), problem, 0.0, 1.0, 0.5).state
+    assert np.array_equal(state, u0)
+
+
+# an infinity in F meets zeros in the basis change, which numpy reports
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_update_names_no_stage(bad):
+    def g(t, u):
+        out = np.zeros_like(u)
+        out[3] = bad
+        return out
+
+    problem = _still_problem(8, np.ones(8), g)
+    with pytest.raises(DivergenceError) as caught:
+        integrate(scheme_by_name("expeuler"), problem, 0.0, 1.0, 0.5)
+    assert (caught.value.stage, caught.value.step_index) == (None, 0)
+
+
+def _path_problem(path):
+    if path == "general":
+        return _nonsymmetric_problem()
+    return make_heat1d(16)
+
+
+@pytest.mark.parametrize("path", ["eigenbasis", "sine transform", "general", "krylov"])
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_step_writes_neither_u_nor_what_g_returns(monkeypatch, path, name):
+    import exprk.phi as phimod
+
+    monkeypatch.setattr(phimod, "SINE_TRANSFORM_MIN_N",
+                        8 if path == "sine transform" else SINE_TRANSFORM_MIN_N)
+    problem = _path_problem(path)
+    # g hands out the same array on every call, as a g with a cached result would
+    cached = np.linspace(0.5, 1.5, problem.n)
+    kept = cached.copy()
+    problem = replace(problem, g=lambda t, u: cached)
+    u = np.linspace(-1.0, 1.0, problem.n)
+    u.setflags(write=False)
+    scheme = scheme_by_name(name)
+    if path == "krylov":
+        ctx = precompute(scheme, problem.apply_A, 0.25, krylov=True)
+    else:
+        ctx = precompute(scheme, problem.A, 0.25)
+        assert ctx.cache.sine_transform == (path == "sine transform")
+        assert ctx.cache.eigenbasis == (path != "general")
+    u_next = step(ctx, problem, 0.0, u)
+    assert np.array_equal(u, np.linspace(-1.0, 1.0, problem.n))
+    assert np.array_equal(cached, kept)
+    assert not np.shares_memory(u_next, u) and not np.shares_memory(u_next, cached)
 
 
 def test_rejects_context_built_for_another_step_size():
