@@ -72,8 +72,13 @@ def heat_source(x, t):
     S = u_t - u_xx - 1/(1+u^2) evaluated at the target profile:
     x(1-x)e^t + 2e^t - 1/(1 + x^2 (1-x)^2 e^(2t)).
     """
-    prof = x * (1.0 - x) * np.exp(t)
-    return prof + 2.0 * np.exp(t) - 1.0 / (1.0 + prof**2)
+    return _source(x * (1.0 - x), np.exp(t))
+
+
+def _source(shape, et):
+    """heat_source from the profile's shape x(1-x) and et = e^t."""
+    prof = shape * et
+    return prof + 2.0 * et - 1.0 / (1.0 + prof**2)
 
 
 def make_heat1d(n: int = 200) -> SemilinearProblem:
@@ -83,13 +88,15 @@ def make_heat1d(n: int = 200) -> SemilinearProblem:
     A = _dirichlet_laplacian(n)
     A.setflags(write=False)
     x = np.arange(1, n + 1) / (n + 1)
-    x.setflags(write=False)
+    # g runs 17 times per exprk6s16 step: the shape is formed once, e^t once per call
+    shape = x * (1.0 - x)
+    shape.setflags(write=False)
 
     def g(t, u):
-        return 1.0 / (1.0 + u**2) + heat_source(x, t)
+        return 1.0 / (1.0 + u**2) + _source(shape, math.exp(t))
 
     def exact(t):
-        return x * (1.0 - x) * math.exp(t)
+        return shape * math.exp(t)
 
     u0 = exact(0.0)
     u0.setflags(write=False)

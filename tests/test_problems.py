@@ -39,6 +39,17 @@ class TestHeat1d:
             want = ut - uxx - 1.0 / (1.0 + u(x, t) ** 2)
             assert heat_source(x, t) == pytest.approx(want, abs=1e-6)
 
+    def test_nonlinearity_is_reaction_plus_source(self):
+        # g forms the source from a stored x(1-x) and math.exp; heat_source
+        # from x and np.exp, so the two agree to roundoff
+        n = 64
+        p = make_heat1d(n)
+        x = np.arange(1, n + 1) / (n + 1)
+        u = np.random.default_rng(33).normal(size=n)
+        for t in (0.0, 1 / 512, 0.37, 0.5, 1.0, 2.5):
+            want = 1.0 / (1.0 + u**2) + heat_source(x, t)
+            assert np.allclose(p.g(t, u), want, rtol=1e-14, atol=0)
+
     def test_exact_peak_at_final_time(self):
         # n odd puts x = 1/2 on the grid
         p = make_heat1d(199)
