@@ -99,11 +99,11 @@ class _Group:
     and `index` holds the same numbers as an index array into the step's D
     block. The combination reads the rows `reads` of D, an index array built
     once, whose first entry is row 1: F, with coefficient c_i phi_1(c_i hA).
-    On the dense path `tables`
-    holds row r's coefficient of D[reads[k]], its phi polynomial folded into
-    one entry: with an eigenbasis tables[r, k] is a table on the eigenvalues,
-    shape (rows, k, n); without, tables[r, :, k] is an n x n matrix, shape
-    (rows, n, k, n), so that each row's matrices lie side by side.
+    On the dense path `tables` holds row r's coefficient of D[reads[k]], its
+    phi polynomial folded into one entry: with an eigenbasis tables[r, k] is
+    a table on the eigenvalues, shape (rows, k, n); without, tables[r, :, k]
+    is an n x n matrix, shape (rows, n, k, n), so that each row's matrices
+    lie side by side.
     """
 
     stages: tuple

@@ -290,12 +290,6 @@ def test_non_finite_update_names_no_stage(bad):
     assert (caught.value.stage, caught.value.step_index) == (None, 0)
 
 
-def _path_problem(path):
-    if path == "general":
-        return _nonsymmetric_problem()
-    return make_heat1d(16)
-
-
 @pytest.mark.parametrize("path", ["eigenbasis", "sine transform", "general", "krylov"])
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 def test_step_writes_neither_u_nor_what_g_returns(monkeypatch, path, name):
@@ -303,7 +297,7 @@ def test_step_writes_neither_u_nor_what_g_returns(monkeypatch, path, name):
 
     monkeypatch.setattr(phimod, "SINE_TRANSFORM_MIN_N",
                         8 if path == "sine transform" else SINE_TRANSFORM_MIN_N)
-    problem = _path_problem(path)
+    problem = _nonsymmetric_problem() if path == "general" else make_heat1d(16)
     # g hands out the same array on every call, as a g with a cached result would
     cached = np.linspace(0.5, 1.5, problem.n)
     kept = cached.copy()
