@@ -50,6 +50,15 @@ class TestHeat1d:
             want = 1.0 / (1.0 + u**2) + heat_source(x, t)
             assert np.allclose(p.g(t, u), want, rtol=1e-14, atol=0)
 
+    def test_operator_action_is_the_matrix_product(self):
+        # apply_A applies A's stencil, so it matches A @ v to roundoff; the
+        # columns of V are strided views, as the Krylov path passes them
+        p = make_heat1d(64)
+        V = np.random.default_rng(34).normal(size=(64, 3))
+        for v in V.T:
+            scale = np.linalg.norm(p.A, np.inf) * np.abs(v).max()
+            assert np.allclose(p.apply_A(v), p.A @ v, rtol=0, atol=1e-15 * scale)
+
     def test_exact_peak_at_final_time(self):
         # n odd puts x = 1/2 on the grid
         p = make_heat1d(199)
