@@ -224,7 +224,7 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray) -> np.ndarray:
     the dense path the whole group is one contraction of its folded
     coefficients (a product of tables with an eigenbasis, one matrix-vector
     product without) and one basis change; matrix-free, each row is one
-    Krylov evaluation.
+    Krylov evaluation. The result is a new array, which `step` updates in place.
     """
     h = ctx.h
     if group.tables is not None:
