@@ -19,8 +19,10 @@ are one contraction of its stacked tables with the stacked D_j, and one
 basis change brings the group back; the group's D_j go into the basis
 with one more. That is 12 basis changes per exprk6s16 step: one for F, two
 per group and one for the update. Each is a product with the n x n
-eigenvector matrix Q or, for a tridiagonal Toeplitz A with n at or above
-phi.SINE_TRANSFORM_MIN_N, an O(n log n) sine transform that stores no Q.
+eigenvector matrix Q, except for a tridiagonal Toeplitz A from
+phi.SINE_FOLD_MIN_N up: below phi.SINE_TRANSFORM_MIN_N it is two products
+with halves of the sine matrix Q, half the multiply-adds, and from there up
+an O(n log n) sine transform that stores no Q.
 For general A the cache holds dense phi matrices and the basis is the
 identity; precompute folds each coefficient into one n x n matrix, and a
 group's increments are one matrix-vector product of its folded matrices,

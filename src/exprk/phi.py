@@ -28,6 +28,7 @@ import scipy.linalg
 __all__ = [
     "SERIES_RADIUS",
     "CACHE_BUDGET_BYTES",
+    "SINE_FOLD_MIN_N",
     "SINE_TRANSFORM_MIN_N",
     "phi_scalar",
     "phi_scalar_all",
@@ -380,6 +381,13 @@ CACHE_BUDGET_BYTES = 4 * 2**30
 # Each n+1 there is prime, DST-I's slowest case; at n=404 (n+1 = 405) the
 # transform takes 330 us against 729 us.
 SINE_TRANSFORM_MIN_N = 512
+# From this n up, and below SINE_TRANSFORM_MIN_N, a tridiagonal Toeplitz A
+# changes basis by _sine_fold: half the multiply-adds, five more numpy calls.
+# Per exprk6s16 step as above, matrix product against fold (medians of 15):
+#   n=64:   23 vs  85 us   n=200: 106 vs 119 us   n=256:  167 vs 163 us
+#   n=300: 237 vs 180 us   n=400: 447 vs 284 us   n=510: 1375 vs 610 us
+# Whole solves, fold over matrix time: 1.20 at n=200, 0.98-1.03 at n=256.
+SINE_FOLD_MIN_N = 256
 
 
 def _sine_transform(v: np.ndarray) -> np.ndarray:
@@ -393,19 +401,33 @@ def _sine_transform(v: np.ndarray) -> np.ndarray:
     return scipy.fft.dst(v, type=1, norm="ortho", axis=-1)
 
 
+def _sine_fold(v: np.ndarray, Qo: np.ndarray, Qe: np.ndarray) -> np.ndarray:
+    """v @ Q for the sine matrix Q, each row, from _sine_halves: row n+1-j of Q
+    is row j with its even columns negated (1-based), so the odd columns are
+    (v[:m] + v's last m reversed, an odd n's middle entry alone) @ Qo and the
+    even ones (v[:p] - v's last p reversed) @ Qe. Q is its own inverse."""
+    m, p = len(Qo), len(Qe)
+    s = v[..., :m] + v[..., :p - 1:-1]
+    if m > p:
+        s[..., p] = v[..., p]
+    out = np.empty(v.shape)
+    np.matmul(s, Qo, out=out[..., 0::2])
+    np.matmul(v[..., :p] - v[..., :m - 1:-1], Qe, out=out[..., 1::2])
+    return out
+
+
 @dataclass
 class PhiCache:
     """Immutable store of phi_j(c*h*A) keyed by (node c, index j), of two kinds.
 
     With an eigenbasis, A = Q diag(lam) Q^T is symmetric and each entry is the
     read-only length-n table phi_j(c*h*lam): phi_j(c*h*A) acts on basis
-    coordinates Q^T v elementwise. The basis is kept in one of two ways (see
-    build_phi_cache). As the n x n matrix `basis`, from `eigh` or, when A is
-    tridiagonal Toeplitz with n below SINE_TRANSFORM_MIN_N, in closed form as a
-    sine matrix. Or, with `sine_transform` set, not at all: A is tridiagonal
-    Toeplitz with n at or above SINE_TRANSFORM_MIN_N, and the basis changes
-    are O(n log n) sine transforms. Without an eigenbasis, the dense kind,
-    each entry is the read-only n x n matrix phi_j(c*h*A). `coeff` folds a
+    coordinates Q^T v elementwise. The basis is kept in one of three ways (see
+    build_phi_cache): as the n x n matrix `basis`, from `eigh` or in closed
+    form as a sine matrix; as `sine_halves`, the halves of the sine matrix
+    that _sine_fold multiplies by; or, with `sine_transform` set, not at all,
+    the basis changes being sine transforms. Without an eigenbasis, the dense
+    kind, each entry is the read-only n x n matrix phi_j(c*h*A). `coeff` folds a
     phi polynomial into one entry of the same kind: it is the one evaluator
     of scheme coefficients, for the integrator and, through PhiAtMatrix, for
     the order-condition checker. `get` returns a phi matrix in every case.
@@ -417,12 +439,13 @@ class PhiCache:
     kmax: int
     entries: dict = field(default_factory=dict)
     basis: np.ndarray | None = None
+    sine_halves: tuple[np.ndarray, np.ndarray] | None = None
     sine_transform: bool = False
 
     @property
     def eigenbasis(self) -> bool:
         """Whether the entries are tables on the eigenvalues, not matrices."""
-        return self.basis is not None or self.sine_transform
+        return self.basis is not None or self.sine_halves is not None or self.sine_transform
 
     def entry(self, c: Fraction, j: int) -> np.ndarray:
         """The stored table (with an eigenbasis) or matrix (without) for (c, j)."""
@@ -437,7 +460,7 @@ class PhiCache:
         entry = self.entry(c, j)
         if not self.eigenbasis:
             return entry
-        Q = _sine_basis(entry.size) if self.sine_transform else self.basis
+        Q = _sine_basis(entry.size) if self.basis is None else self.basis
         mat = (Q * entry) @ Q.T
         mat.setflags(write=False)
         return mat
@@ -458,12 +481,13 @@ class PhiCache:
     def to_basis(self, v: np.ndarray) -> np.ndarray:
         if self.sine_transform:
             return _sine_transform(v)
+        if self.sine_halves is not None:
+            return _sine_fold(v, *self.sine_halves)
         return v if self.basis is None else v @ self.basis
 
     def from_basis(self, v: np.ndarray) -> np.ndarray:
-        if self.sine_transform:
-            return _sine_transform(v)
-        return v if self.basis is None else v @ self._basis_t
+        # the sine matrix, kept as halves or not at all, and the identity are their own inverses
+        return self.to_basis(v) if self.basis is None else v @ self._basis_t
 
     @cached_property
     def _basis_t(self) -> np.ndarray:
@@ -480,7 +504,8 @@ def _estimate_cache_bytes(n: int, nodes: int, kmax: int, symmetric: bool,
         # the tables alone: the basis is never formed
         return nodes * (kmax + 1) * n * 8
     if symmetric:
-        # A, the eigenbasis, and the eigh workspace or the sine index array
+        # A, the eigenbasis, and the eigh workspace or the sine index array;
+        # the fold's two halves hold n*n/2 doubles, not the whole basis
         return 3 * n * n * 8
     # every node's entries, and one phi_all_dense: its argument c*h*A, one
     # temporary, and the _SERIES_TERMS powers or 2(kmax+1) squaring arrays
@@ -513,8 +538,9 @@ def _sine_eigenvalues(n: int, a: float, b: float) -> np.ndarray:
     return (a + 2.0 * b) - 4.0 * b * np.sin(k * (np.pi / (2 * (n + 1)))) ** 2
 
 
-def _sine_basis(n: int) -> np.ndarray:
-    """Orthonormal eigenvectors of every tridiagonal Toeplitz n x n matrix.
+def _sine_basis(n: int, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+    """Orthonormal eigenvectors of every tridiagonal Toeplitz n x n matrix, or
+    their block Q[rows, cols] without the rest.
 
     Q[j, k] = sqrt(2/(n+1)) sin(jk pi/(n+1)) for j, k = 1..n; jk is reduced
     mod 2(n+1) in integers, so every sine argument lies in [0, 2 pi).
@@ -522,9 +548,18 @@ def _sine_basis(n: int) -> np.ndarray:
     k = np.arange(1, n + 1)
     period = 2 * (n + 1)
     sines = math.sqrt(2.0 / (n + 1)) * np.sin(np.arange(period) * (np.pi / (n + 1)))
-    jk = np.outer(k, k)
+    jk = np.outer(k[rows], k[cols])
     jk %= period
     return sines[jk]
+
+
+def _sine_halves(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_sine_fold's read-only Q[:m, 0::2] and Q[:p, 1::2], m = ceil(n/2), p = floor(n/2)."""
+    m = (n + 1) // 2
+    halves = _sine_basis(n, slice(m), slice(0, n, 2)), _sine_basis(n, slice(n - m), slice(1, n, 2))
+    for half in halves:
+        half.setflags(write=False)
+    return halves
 
 
 def _sine_eigenpairs(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -542,10 +577,11 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
     diagonal, one constant b on both diagonals beside it and no other
     nonzeros, as for the Dirichlet Laplacian), its eigenpairs are known in
     closed form and no `eigh` runs: see _sine_eigenvalues and _sine_basis.
-    Below SINE_TRANSFORM_MIN_N the cache keeps Q as its basis; from there up
-    it keeps no Q and changes basis by the sine transform. Other symmetric A
-    keep the Q from `eigh`. General matrices store one dense matrix per (c, j)
-    from phi_all_dense, one node at a time.
+    Below SINE_FOLD_MIN_N the cache keeps Q as its basis; from there it
+    keeps only the halves of Q that _sine_fold multiplies by (n*n/2 doubles);
+    from SINE_TRANSFORM_MIN_N up it keeps no Q and changes basis by the sine
+    transform. Other symmetric A keep the Q from `eigh`. General matrices
+    store one dense matrix per (c, j) from phi_all_dense, one node at a time.
 
     Raises ValueError, before allocating, if kmax < 0 or if the estimated
     peak memory of the build exceeds CACHE_BUDGET_BYTES; later, if an entry
@@ -567,6 +603,7 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
     # a tridiagonal Toeplitz A is symmetric; the O(n^2) compare runs only without one
     symmetric = toeplitz is not None or np.array_equal(A, A.T)
     transform = toeplitz is not None and n >= SINE_TRANSFORM_MIN_N
+    fold = toeplitz is not None and SINE_FOLD_MIN_N <= n < SINE_TRANSFORM_MIN_N
     estimate = _estimate_cache_bytes(n, len(nodes), kmax, symmetric, transform)
     if estimate > CACHE_BUDGET_BYTES:
         raise ValueError(
@@ -576,9 +613,10 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
         )
 
     cache = PhiCache(h=float(h), kmax=kmax)
-    if transform:
+    if transform or fold:
         lam = _sine_eigenvalues(n, *toeplitz)
-        cache.sine_transform = True
+        cache.sine_transform = transform
+        cache.sine_halves = _sine_halves(n) if fold else None
     elif symmetric:
         lam, Q = np.linalg.eigh(A) if toeplitz is None else _sine_eigenpairs(n, *toeplitz)
         Q.setflags(write=False)

@@ -14,7 +14,7 @@ import pytest
 import exprk
 from exprk.cli import run_convergence
 from exprk.integrator import DivergenceError, _check_finite, integrate, precompute, step
-from exprk.phi import SINE_TRANSFORM_MIN_N, _sine_basis, build_phi_cache
+from exprk.phi import SINE_FOLD_MIN_N, SINE_TRANSFORM_MIN_N, _sine_basis, build_phi_cache
 from exprk.problems import SemilinearProblem, error_at, make_heat1d, make_linear_decay
 from exprk.tableaus import SCHEME_NAMES, scheme_by_name
 
@@ -90,19 +90,24 @@ def test_general_path_matches_reference_on_nonsymmetric_operator(name):
     assert _relative_gap(got, want) <= 1e-12
 
 
-# n+1 = 521 is prime, DST-I's slowest case; n+1 = 540 = 2^2 3^3 5 is smooth
-@pytest.mark.parametrize("n", [521 - 1, 540 - 1])
+# n+1 = 521 is prime, DST-I's slowest case; n+1 = 540 = 2^2 3^3 5 is smooth.
+# n = 400 and 401, below SINE_TRANSFORM_MIN_N, take the sine fold.
+@pytest.mark.parametrize("n", [521 - 1, 540 - 1, 400, 401])
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 def test_sine_transform_path_matches_the_matrix_basis(monkeypatch, name, n):
     import exprk.phi as phimod
 
-    assert n >= SINE_TRANSFORM_MIN_N
+    assert n >= SINE_FOLD_MIN_N
+    transform = n >= SINE_TRANSFORM_MIN_N
     scheme = scheme_by_name(name)
     for problem in (make_heat1d(n), make_linear_decay(n)):
-        assert precompute(scheme, problem.A, 0.125).cache.sine_transform
+        cache = precompute(scheme, problem.A, 0.125).cache
+        assert cache.sine_transform == transform
+        assert (cache.sine_halves is None) == transform and cache.basis is None
         got = integrate(scheme, problem, 0.0, 1.0, 0.125).state
         with monkeypatch.context() as patch:
             patch.setattr(phimod, "SINE_TRANSFORM_MIN_N", n + 1)
+            patch.setattr(phimod, "SINE_FOLD_MIN_N", n + 1)
             assert precompute(scheme, problem.A, 0.125).cache.basis is not None
             want = integrate(scheme, problem, 0.0, 1.0, 0.125).state
         assert _relative_gap(got, want) <= 1e-11
@@ -113,19 +118,21 @@ def test_sine_transform_path_matches_the_matrix_basis(monkeypatch, name, n):
 def test_below_the_constant_keeps_the_closed_form_matrix(monkeypatch):
     import exprk.phi as phimod
 
-    n = 400
-    assert n < SINE_TRANSFORM_MIN_N
+    n = SINE_FOLD_MIN_N - 1
     scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(n)
     cache = precompute(scheme, problem.A, 0.125).cache
-    assert not cache.sine_transform and np.array_equal(cache.basis, _sine_basis(n))
+    assert not cache.sine_transform and cache.sine_halves is None
+    assert np.array_equal(cache.basis, _sine_basis(n))
     got = integrate(scheme, problem, 0.0, 1.0, 0.125).state
+    monkeypatch.setattr(phimod, "SINE_FOLD_MIN_N", 10**9)
     monkeypatch.setattr(phimod, "SINE_TRANSFORM_MIN_N", 10**9)
     assert got.tobytes() == integrate(scheme, problem, 0.0, 1.0, 0.125).state.tobytes()
 
 
-@pytest.mark.parametrize("n, loaded", [(64, False), (SINE_TRANSFORM_MIN_N, True)])
+@pytest.mark.parametrize("n, loaded", [(64, False), (400, False), (SINE_TRANSFORM_MIN_N, True)])
 def test_scipy_fft_is_imported_only_on_the_transform_path(n, loaded):
-    # scipy.fft adds about 4.6 MB to a process; runs that never transform skip it
+    # scipy.fft adds about 4.6 MB to a process; runs that never transform,
+    # the sine fold's at n=400 among them, skip it
     code = ("import sys\n"
             "from exprk import integrate, make_exprk6s16, make_heat1d\n"
             f"integrate(make_exprk6s16(), make_heat1d({n}), 0.0, 1.0, 0.5)\n"
@@ -290,11 +297,13 @@ def test_non_finite_update_names_no_stage(bad):
     assert (caught.value.stage, caught.value.step_index) == (None, 0)
 
 
-@pytest.mark.parametrize("path", ["eigenbasis", "sine transform", "general", "krylov"])
+@pytest.mark.parametrize("path",
+                         ["eigenbasis", "sine fold", "sine transform", "general", "krylov"])
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 def test_step_writes_neither_u_nor_what_g_returns(monkeypatch, path, name):
     import exprk.phi as phimod
 
+    monkeypatch.setattr(phimod, "SINE_FOLD_MIN_N", 8 if path == "sine fold" else SINE_FOLD_MIN_N)
     monkeypatch.setattr(phimod, "SINE_TRANSFORM_MIN_N",
                         8 if path == "sine transform" else SINE_TRANSFORM_MIN_N)
     problem = _nonsymmetric_problem() if path == "general" else make_heat1d(16)
@@ -310,6 +319,7 @@ def test_step_writes_neither_u_nor_what_g_returns(monkeypatch, path, name):
     else:
         ctx = precompute(scheme, problem.A, 0.25)
         assert ctx.cache.sine_transform == (path == "sine transform")
+        assert (ctx.cache.sine_halves is not None) == (path == "sine fold")
         assert ctx.cache.eigenbasis == (path != "general")
     u_next = step(ctx, problem, 0.0, u)
     assert np.array_equal(u, np.linspace(-1.0, 1.0, problem.n))

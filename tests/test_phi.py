@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 from exprk.phi import (
     SERIES_RADIUS,
+    SINE_FOLD_MIN_N,
     SINE_TRANSFORM_MIN_N,
     arnoldi,
     build_phi_cache,
@@ -473,7 +475,7 @@ class TestPhiCache:
         with pytest.raises(ValueError, match="kmax must be >= 0"):
             build_phi_cache(A, 0.1, [Fraction(1)], -1)
 
-    @pytest.mark.parametrize("n", [8, SINE_TRANSFORM_MIN_N])
+    @pytest.mark.parametrize("n", [8, SINE_FOLD_MIN_N, SINE_TRANSFORM_MIN_N])
     def test_non_finite_eigenvalues_are_refused(self, n):
         # -inf on the diagonal is still tridiagonal Toeplitz, so the tables
         # see eigenvalues -inf; they used to come out as phi values of zero
@@ -566,10 +568,14 @@ class TestSineTransformPath:
     def _cache(self, n=N):
         return build_phi_cache(_tridiagonal(n, -2.0, 1.0), 0.1, [Fraction(1, 3), Fraction(1)], 3)
 
-    def test_stores_tables_and_no_basis(self):
+    def test_stores_tables_and_no_basis(self, monkeypatch):
+        import exprk.phi as phimod
+
         cache = self._cache()
         assert cache.sine_transform and cache.eigenbasis and cache.basis is None
+        assert cache.sine_halves is None
         assert all(table.shape == (self.N,) for table in cache.entries.values())
+        monkeypatch.setattr(phimod, "SINE_FOLD_MIN_N", SINE_TRANSFORM_MIN_N)
         below = self._cache(SINE_TRANSFORM_MIN_N - 1)
         assert not below.sine_transform and below.basis is not None
 
@@ -603,6 +609,69 @@ class TestSineTransformPath:
         assert build_phi_cache(_tridiagonal(n, -2.0, 1.0), 0.1, nodes, 5).sine_transform
         with pytest.raises(ValueError, match=rf"n={n} with 12 entries"):
             build_phi_cache(np.diag(np.arange(1.0, n + 1)), 0.1, nodes, 5)
+
+
+class TestSineFoldPath:
+    """From SINE_FOLD_MIN_N to below SINE_TRANSFORM_MIN_N, tridiagonal Toeplitz
+    A keeps two halves of the sine matrix and changes basis by folding."""
+
+    SIZES = [SINE_FOLD_MIN_N, SINE_FOLD_MIN_N + 1, SINE_TRANSFORM_MIN_N - 1]
+    NODES = [Fraction(1, 3), Fraction(1)]
+
+    def _cache(self, n):
+        return build_phi_cache(_tridiagonal(n, -2.0, 1.0), 0.1, self.NODES, 1)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("rows", [None, 5], ids=["vector", "block"])
+    def test_changes_match_the_sine_matrix_and_undo_each_other(self, n, rows):
+        from exprk.phi import _sine_basis
+
+        cache = self._cache(n)
+        assert cache.sine_halves is not None and cache.basis is None
+        assert cache.eigenbasis and not cache.sine_transform
+        v = np.random.default_rng(29).standard_normal(n if rows is None else (rows, n))
+        v.setflags(write=False)
+        kept = v.copy()
+        scale = np.max(np.abs(v))
+        want = v @ _sine_basis(n)
+        for change in (cache.to_basis, cache.from_basis):
+            coords = change(v)
+            assert coords.shape == v.shape
+            assert np.max(np.abs(coords - want)) <= 1e-14 * scale
+            assert np.max(np.abs(change(coords) - v)) <= 1e-14 * scale
+        assert np.array_equal(v, kept)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_halves_are_read_only_columns_of_the_sine_matrix(self, n):
+        from exprk.phi import _sine_basis
+
+        A = _tridiagonal(n, -2.0, 1.0)
+        tracemalloc.start()
+        try:
+            Qo, Qe = build_phi_cache(A, 0.1, self.NODES, 1).sine_halves
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole sine matrix is n*n doubles; the halves and one index array are 3/4 of that
+        assert peak < n * n * 8
+        Q = _sine_basis(n)
+        m, p = (n + 1) // 2, n // 2
+        assert np.array_equal(Qo, Q[:m, 0::2]) and np.array_equal(Qe, Q[:p, 1::2])
+        for half in (Qo, Qe):
+            with pytest.raises(ValueError):
+                half[0, 0] = 99.0
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_get_matches_the_matrix_basis(self, monkeypatch, n):
+        import exprk.phi as phimod
+
+        cache = self._cache(n)
+        monkeypatch.setattr(phimod, "SINE_FOLD_MIN_N", n + 1)
+        plain = self._cache(n)
+        assert plain.basis is not None
+        for c in self.NODES:
+            for j in (0, 1):
+                assert np.max(np.abs(cache.get(c, j) - plain.get(c, j))) <= 1e-14
 
 
 class TestPhiSeriesOracleSuite:
