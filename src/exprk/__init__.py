@@ -7,7 +7,6 @@ from .integrator import TrajectoryResult, integrate, precompute, step
 from .phi import (
     arnoldi,
     build_phi_cache,
-    expm,
     phi_all_dense,
     phi_combo_apply,
     phi_combo_apply_krylov,
@@ -36,7 +35,6 @@ __all__ = [
     "step",
     "arnoldi",
     "build_phi_cache",
-    "expm",
     "phi_all_dense",
     "phi_combo_apply",
     "phi_combo_apply_krylov",

@@ -203,24 +203,22 @@ def _apply_map(tensor: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
 class _StageVectors:
     """The stage vectors of one condition's subtrees, within one residual call.
 
-    scheme, ev, maps, w and sigma_prefactor are fixed for one condition, and
-    the node paths index the subtrees of its tree. `mapped(tree, path, j)`,
-    the node's map applied to its children's stage-j vectors, is formed once
-    per (path, j); for a quadrature node, whose arguments are all w, j is
-    None and it is formed once per path. A subtree's stage-j vector is read
-    only by its parent's mapped(j), so it is formed once as well, where the
-    plain recursion formed it again for every parent stage reading stage j.
-    The arithmetic and its order are the recursion's, so the values are
-    bitwise the same.
+    scheme, ev, maps and w are fixed for one condition, and the node paths
+    index the subtrees of its tree. `mapped(tree, path, j)`, the node's map
+    applied to its children's stage-j vectors, is formed once per (path, j);
+    for a quadrature node, whose arguments are all w, j is None and it is
+    formed once per path. A subtree's stage-j vector is read only by its
+    parent's mapped(j), so it is formed once as well, where the plain
+    recursion formed it again for every parent stage reading stage j. The
+    arithmetic and its order are the recursion's, so the values are bitwise
+    the same.
     """
 
-    def __init__(self, scheme: Scheme, ev: PhiAtMatrix, maps: dict,
-                 w: np.ndarray, sigma_prefactor: bool):
+    def __init__(self, scheme: Scheme, ev: PhiAtMatrix, maps: dict, w: np.ndarray):
         self.scheme = scheme
         self.ev = ev
         self.maps = maps
         self.w = w
-        self.sigma_prefactor = sigma_prefactor
         self._mapped: dict[tuple, np.ndarray] = {}
         self._prefs: dict[tuple, float] = {}
 
@@ -260,18 +258,13 @@ class _StageVectors:
     def _pref(self, tree: Tree, path: tuple) -> float:
         pref = self._prefs.get(path)
         if pref is None:
-            pref = 1.0
-            if self.sigma_prefactor:
-                pref = float(
-                    Fraction(math.prod(c.symmetry for c in tree.children), tree.symmetry)
-                )
-            self._prefs[path] = pref
+            pref = self._prefs[path] = float(
+                Fraction(math.prod(c.symmetry for c in tree.children), tree.symmetry))
         return pref
 
 
 def elementary_differential(tree: Tree, i: int, scheme: Scheme, ev: PhiAtMatrix,
-                            maps: dict, w: np.ndarray, path: tuple = (),
-                            sigma_prefactor: bool = True) -> np.ndarray:
+                            maps: dict, w: np.ndarray, path: tuple = ()) -> np.ndarray:
     """Stage-i vector attached to a child tree in the nested conditions.
 
     White leaf: c_i * w. Quadrature child with l leaves: the stage defect of
@@ -279,13 +272,12 @@ def elementary_differential(tree: Tree, i: int, scheme: Scheme, ev: PhiAtMatrix,
     symmetry prefactor times sum_j a_ij(Z) applied to the node's map at the
     grandchildren's stage-j vectors, each formed once per (node, stage).
     """
-    return _StageVectors(scheme, ev, maps, w, sigma_prefactor).vector(tree, path, i)
+    return _StageVectors(scheme, ev, maps, w).vector(tree, path, i)
 
 
 def residual(cond: Condition, scheme: Scheme, model: RandomModel,
              mode: str = "strong", ev: PhiAtMatrix | None = None,
-             ev0: PhiAtMatrix | None = None,
-             sigma_prefactor: bool = True) -> float:
+             ev0: PhiAtMatrix | None = None) -> float:
     """Residual norm of one condition under the model's random instance.
 
     In "weak17" mode the order-6 quadrature condition (number 17) is
@@ -316,7 +308,7 @@ def residual(cond: Condition, scheme: Scheme, model: RandomModel,
         if mode == "weak17" and cond.order == 6:
             ev = ev0 if ev0 is not None else PhiAtMatrix(np.zeros_like(model.Z), kmax)
         return float(np.linalg.norm(psi(cond.order, scheme.s + 1, scheme, ev))) * math.factorial(cond.order - 1)
-    stages = _StageVectors(scheme, ev, model.maps_for(cond), model.w, sigma_prefactor)
+    stages = _StageVectors(scheme, ev, model.maps_for(cond), model.w)
     return float(np.linalg.norm(stages.row_sum(cond.tree, (), scheme.s + 1)))
 
 
@@ -358,20 +350,6 @@ class ConditionReport:
             writer.writerow([r.number, r.order, r.kind, r.tree,
                              repr(r.residual), str(r.passed).lower()])
         return buf.getvalue()
-
-    @staticmethod
-    def rows_from_csv(text: str) -> list[ConditionResult]:
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if tuple(header) != ConditionReport.CSV_FIELDS:
-            raise ValueError(f"unexpected header {header}")
-        out = []
-        for row in reader:
-            out.append(ConditionResult(
-                number=int(row[0]), order=int(row[1]), kind=row[2], tree=row[3],
-                residual=float(row[4]), passed=row[5] == "true",
-            ))
-        return out
 
 
 def check_scheme(scheme: Scheme, p: int, mode: str = "strong", seeds: int = 3,

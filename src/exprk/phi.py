@@ -9,10 +9,10 @@ here revolves around three tasks:
   * dense matrices phi_0(M)..phi_k(M) in one shot, and
   * the action sum_j h^j phi_j(hM) v_j on vectors, dense or matrix-free.
 
-Scalar and dense matrix phi values come from one double-precision kernel,
-scaling and modified squaring (Skaflestad & Wright 2009). The matrix-free
-path runs Arnoldi on an augmented operator and falls back to one dense
-exponential of it if the subspace saturates.
+Scalar phi values, dense phi matrices and the dense action all come from
+one double-precision kernel, scaling and modified squaring (Skaflestad &
+Wright 2009). The matrix-free path runs Arnoldi on an augmented operator and
+falls back to the dense action if the subspace saturates.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "SINE_TRANSFORM_MIN_N",
     "phi_scalar",
     "phi_scalar_all",
-    "expm",
     "phi_all_dense",
     "phi_combo_apply",
     "arnoldi",
@@ -134,14 +133,6 @@ def _as_square_matrix(M) -> np.ndarray:
     return M
 
 
-def expm(M) -> np.ndarray:
-    """Matrix exponential (scaling and squaring with Pade approximation)."""
-    M = _as_square_matrix(M)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix exponential of non-finite input")
-    return scipy.linalg.expm(M)
-
-
 def phi_all_dense(M, kmax: int) -> np.ndarray:
     """phi_0(M)..phi_kmax(M) stacked in shape (kmax+1, n, n).
 
@@ -182,22 +173,9 @@ def _materialize(apply_A, n: int) -> np.ndarray:
     return A
 
 
-def _augmented_dense(M: np.ndarray, h: float, V: list[np.ndarray]) -> np.ndarray:
-    """Augmented (n+p) x (n+p) matrix whose exponential yields the combo."""
-    n = M.shape[0]
-    p = len(V) - 1
-    aug = np.zeros((n + p, n + p))
-    aug[:n, :n] = h * M
-    for i in range(p):
-        # column i carries h^(p-i) v_{p-i}
-        aug[:n, n + i] = float(h) ** (p - i) * V[p - i]
-    for i in range(p - 1):
-        aug[n + i, n + i + 1] = 1.0
-    return aug
-
-
 def phi_combo_apply(M, h: float, V: list[np.ndarray]) -> np.ndarray:
-    """sum_{j=0}^{p} h^j phi_j(hM) v_j via one (n+p)x(n+p) exponential.
+    """sum_{j=0}^{p} h^j phi_j(hM) v_j, from j = 0 up, with the phi_j(hM) of
+    the one dense kernel, phi_all_dense(hM, p).
 
     V is [v_0, v_1, ..., v_p]; all vectors must share the operator dimension.
     """
@@ -207,14 +185,10 @@ def phi_combo_apply(M, h: float, V: list[np.ndarray]) -> np.ndarray:
     for v in V:
         if v.shape != (n,):
             raise ValueError(f"vector shape {v.shape} does not match operator dimension {n}")
-    p = len(V) - 1
-    if p == 0:
-        return expm(h * M) @ V[0]
-    aug = _augmented_dense(M, h, V)
-    w0 = np.zeros(n + p)
-    w0[:n] = V[0]
-    w0[n + p - 1] = 1.0
-    return (expm(aug) @ w0)[:n]
+    out = np.zeros(n)
+    for j, phi in enumerate(phi_all_dense(float(h) * M, len(V) - 1)):
+        out += float(h) ** j * (phi @ V[j])
+    return out
 
 
 def _arnoldi_columns(apply_A, V: np.ndarray, H: np.ndarray, j0: int, m: int) -> int:
@@ -562,11 +536,6 @@ def _sine_halves(n: int) -> tuple[np.ndarray, np.ndarray]:
     return halves
 
 
-def _sine_eigenpairs(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of tridiagonal Toeplitz (a, b)."""
-    return _sine_eigenvalues(n, a, b), _sine_basis(n)
-
-
 def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
     """phi_0..phi_kmax(c*h*A) for every node c, computed once per (A, h).
 
@@ -618,7 +587,8 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
         cache.sine_transform = transform
         cache.sine_halves = _sine_halves(n) if fold else None
     elif symmetric:
-        lam, Q = np.linalg.eigh(A) if toeplitz is None else _sine_eigenpairs(n, *toeplitz)
+        lam, Q = (np.linalg.eigh(A) if toeplitz is None
+                  else (_sine_eigenvalues(n, *toeplitz), _sine_basis(n)))
         Q.setflags(write=False)
         cache.basis = Q
     for c in nodes:

@@ -19,12 +19,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from math import factorial, prod
+from math import factorial
 
 __all__ = [
     "Tree",
     "LEAF",
-    "leaf",
     "node",
     "quadrature_tree",
     "TreeTable",
@@ -78,9 +77,6 @@ class Tree:
             for c in self.children
         )
 
-    def sort_key(self):
-        return _sort_key(self)
-
     def bracket(self) -> str:
         """Serialized form, e.g. "[•,•]" or "[[•],•]"."""
         if self.kind == "white":
@@ -128,10 +124,6 @@ def _sort_key(t: Tree):
 LEAF = Tree("white")
 
 
-def leaf() -> Tree:
-    return LEAF
-
-
 def node(*children: Tree) -> Tree:
     """Interior node; children are canonicalized, larger subtrees first."""
     return Tree("node", children=tuple(sorted(children, key=_sort_key, reverse=True)))
@@ -146,13 +138,12 @@ def quadrature_tree(q: int) -> Tree:
 
 @dataclass(frozen=True)
 class TreeTable:
-    """All condition trees up to max_order in the stable numbering.
+    """All condition trees up to one order in the stable numbering.
 
     Sorted by order; within each order the quadrature tree comes first,
     then nested trees in canonical key order. Numbering is 1-based.
     """
 
-    max_order: int
     trees: tuple[Tree, ...]
 
     def __len__(self):
@@ -220,4 +211,4 @@ def enumerate_trees(p: int) -> TreeTable:
     trees: list[Tree] = []
     for q in range(2, p + 1):
         trees.extend(per_order[q])
-    return TreeTable(max_order=p, trees=tuple(trees))
+    return TreeTable(tuple(trees))

@@ -153,8 +153,7 @@ def _apply_map_ref(tensor, args):
     return out
 
 
-def elementary_differential_ref(tree, i, scheme, ev, maps, w, path=(),
-                                sigma_prefactor=True):
+def elementary_differential_ref(tree, i, scheme, ev, maps, w, path=()):
     """Stage-i vector of the subtree at path, recomputed from scratch."""
     if tree.kind == "white":
         return float(scheme.c[i]) * w
@@ -163,11 +162,7 @@ def elementary_differential_ref(tree, i, scheme, ev, maps, w, path=(),
         ell = len(tree.children)
         vec = _apply_map_ref(tensor, [w] * ell)
         return psi(ell + 1, i, scheme, ev) @ vec
-    pref = 1.0
-    if sigma_prefactor:
-        pref = float(
-            Fraction(math.prod(c.symmetry for c in tree.children), tree.symmetry)
-        )
+    pref = float(Fraction(math.prod(c.symmetry for c in tree.children), tree.symmetry))
     n = ev.Z.shape[0]
     acc = np.zeros(n)
     for j in range(2, i):
@@ -175,15 +170,14 @@ def elementary_differential_ref(tree, i, scheme, ev, maps, w, path=(),
         if poly is None:
             continue
         args = [
-            elementary_differential_ref(child, j, scheme, ev, maps, w,
-                                        path + (idx,), sigma_prefactor)
+            elementary_differential_ref(child, j, scheme, ev, maps, w, path + (idx,))
             for idx, child in enumerate(tree.children)
         ]
         acc += ev.coeff(poly) @ _apply_map_ref(tensor, args)
     return pref * acc
 
 
-def residual_ref(cond, scheme, model, mode, ev, ev0, sigma_prefactor=True):
+def residual_ref(cond, scheme, model, mode, ev, ev0):
     """Residual norm of one condition, nested trees by the plain recursion."""
     if mode == "weak17" and cond.kind == "b" and cond.order == 6:
         return float(np.linalg.norm(psi(cond.order, scheme.s + 1, scheme, ev0))) * math.factorial(cond.order - 1)
@@ -194,8 +188,7 @@ def residual_ref(cond, scheme, model, mode, ev, ev0, sigma_prefactor=True):
     acc = np.zeros(model.n)
     for i, poly in scheme.b.items():
         args = [
-            elementary_differential_ref(child, i, scheme, ev, maps, model.w,
-                                        (idx,), sigma_prefactor)
+            elementary_differential_ref(child, i, scheme, ev, maps, model.w, (idx,))
             for idx, child in enumerate(cond.tree.children)
         ]
         acc += ev.coeff(poly) @ _apply_map_ref(tensor, args)

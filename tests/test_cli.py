@@ -1,5 +1,7 @@
 """Command-line harness: exit codes, CSV output and divergence reporting."""
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import exprk.cli as cli
-from exprk.cli import ConvergenceReport, main
+from exprk.cli import main, run_convergence
 
 
 def exit_code(argv):
@@ -40,9 +42,21 @@ def test_bench_passes_when_runs_agree(capsys):
     assert capsys.readouterr().out.startswith("reps,median_seconds,min_seconds,max_seconds")
 
 
-def test_bench_fails_on_injected_fault(capsys):
-    assert exit_code(BENCH + ["--inject-fault"]) == 1
-    assert "differ" in capsys.readouterr().err
+def test_bench_fails_on_injected_fault(monkeypatch, capsys):
+    # the last of the 5 repetitions ends one ulp away from the others
+    integrate, results = cli.integrate, []
+
+    def last_run_one_ulp_off(*args, **kwargs):
+        result = integrate(*args, **kwargs)
+        results.append(result)
+        if len(results) == 5:
+            result.state[0] = np.nextafter(result.state[0], np.inf)
+        return result
+
+    monkeypatch.setattr(cli, "integrate", last_run_one_ulp_off)
+    assert exit_code(BENCH) == 1
+    assert len(results) == 5
+    assert "run 5 and run 1 differ" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -62,12 +76,16 @@ def test_bench_fails_on_injected_fault(capsys):
     ["integrate", "--scheme", "expk2", "--problem", "lindecay", "--n", "0"],
     ["integrate", "--scheme", "expk2", "--n", "16", "--t-end", "inf"],
     ["integrate", "--scheme", "expk2", "--n", "16", "--t-end", "nan"],
+    # runs start from each problem's state at t = 0
+    ["integrate", "--scheme", "expk2", "--n", "16", "--h", "1/4", "--t0", "0.5"],
+    ["bench", "--scheme", "expk2", "--n", "16", "--h", "1/4", "--t0", "0.5"],
 ], ids=["too-few-reps", "unknown-problem", "step-does-not-divide",
         "check-no-seeds", "check-negative-seeds", "check-empty-model",
         "check-nan-tol", "check-inf-tol", "check-negative-tol",
         "integrate-zero-denominator-h", "bench-zero-denominator-h",
         "converge-zero-denominator-step", "converge-empty-steps",
-        "lindecay-no-points", "integrate-infinite-t-end", "integrate-nan-t-end"])
+        "lindecay-no-points", "integrate-infinite-t-end", "integrate-nan-t-end",
+        "integrate-t0", "bench-t0"])
 def test_usage_errors_exit_2(argv):
     assert exit_code(argv) == 2
 
@@ -77,12 +95,26 @@ def test_converge_csv_round_trips(tmp_path):
     argv = ["converge", "--scheme", "expk2", "--n", "16", "--steps", "1/2,1/4,1/8",
             "--out", str(out)]
     assert exit_code(argv) == 0
-    text = out.read_text(encoding="utf-8")
-    rows = ConvergenceReport.rows_from_csv(text)
-    assert [r.h for r in rows] == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
-    assert rows[0].observed_order is None
-    assert all(r.observed_order > 1 for r in rows[1:])
-    assert ConvergenceReport("expk2", "heat1d", rows).to_csv() == text
+    header, *rows = csv.reader(io.StringIO(out.read_text(encoding="utf-8")))
+    assert header == ["h", "error", "wall_seconds", "observed_order"]
+    report = run_convergence("expk2", "heat1d", steps=[Fraction(1, 2), Fraction(1, 4),
+                                                       Fraction(1, 8)], n=16)
+    assert len(rows) == len(report.rows) == 3
+    for row, want in zip(rows, report.rows):
+        assert Fraction(row[0]) == want.h
+        assert float(row[1]) == want.error
+        assert float(row[2]) > 0
+        assert row[3] == ("" if want.observed_order is None else repr(want.observed_order))
+    assert rows[0][3] == ""
+    assert all(float(row[3]) > 1 for row in rows[1:])
+
+
+@pytest.mark.parametrize("order", [1, 9])
+def test_trees_outside_2_to_8_exits_2_with_one_error_line(capsys, order):
+    assert exit_code(["trees", "--order", str(order)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tree enumeration supports orders 2..8\n"
 
 
 def _diverging(problem_by_name):

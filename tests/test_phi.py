@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from exprk.phi import (
     SERIES_RADIUS,
@@ -16,7 +17,6 @@ from exprk.phi import (
     SINE_TRANSFORM_MIN_N,
     arnoldi,
     build_phi_cache,
-    expm,
     phi_all_dense,
     phi_combo_apply,
     phi_combo_apply_krylov,
@@ -119,11 +119,13 @@ class TestPhiScalar:
 
 
 class TestExpm:
+    """exp(M) is phi_all_dense(M, 0)[0]."""
+
     def test_zero_matrix(self):
-        assert np.allclose(expm(np.zeros((4, 4))), np.eye(4), atol=1e-15)
+        assert np.allclose(phi_all_dense(np.zeros((4, 4)), 0)[0], np.eye(4), atol=1e-15)
 
     def test_diagonal(self):
-        E = expm(np.diag([1.0, -1.0]))
+        E = phi_all_dense(np.diag([1.0, -1.0]), 0)[0]
         assert np.allclose(E, np.diag([math.e, 1.0 / math.e]), rtol=1e-14)
 
     def test_against_series_oracle(self):
@@ -132,18 +134,18 @@ class TestExpm:
             M = rng.standard_normal((5, 5))
             M /= np.linalg.norm(M, 2)
             ref = expm_ref(M)
-            got = expm(M)
+            got = phi_all_dense(M, 0)[0]
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            expm(np.zeros((2, 3)))
+            phi_all_dense(np.zeros((2, 3)), 0)
 
     def test_rejects_nonfinite(self):
         M = np.zeros((2, 2))
         M[0, 0] = math.nan
         with pytest.raises(ValueError):
-            expm(M)
+            phi_all_dense(M, 0)
 
 
 class TestPhiAllDense:
@@ -193,7 +195,7 @@ class TestPhiComboApply:
         M = rng.standard_normal((5, 5))
         u = rng.standard_normal(5)
         got = phi_combo_apply(M, 0.3, [u, np.zeros(5), np.zeros(5)])
-        assert np.allclose(got, expm(0.3 * M) @ u, rtol=1e-12, atol=1e-13)
+        assert np.allclose(got, scipy.linalg.expm(0.3 * M) @ u, rtol=1e-12, atol=1e-13)
 
     def test_zero_operator_gives_taylor_sum(self):
         rng = np.random.default_rng(4)
@@ -203,14 +205,21 @@ class TestPhiComboApply:
         want = sum(h**j * V[j] / math.factorial(j) for j in range(4))
         assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
 
-    def test_against_dense_phi_sum(self):
+    @pytest.mark.parametrize("case", ["random-5", "heat1d-64"])
+    def test_against_dense_phi_sum(self, case):
+        from exprk.problems import make_heat1d
+
         rng = np.random.default_rng(6)
-        M = rng.standard_normal((5, 5))
-        M /= np.linalg.norm(M, 2)
-        h = 0.9
-        V = [rng.standard_normal(5) for _ in range(4)]
-        phis = phi_all_dense(h * M, 3)
-        want = sum(h**j * (phis[j] @ V[j]) for j in range(4))
+        if case == "random-5":
+            M = rng.standard_normal((5, 5))
+            M /= np.linalg.norm(M, 2)
+            h, p = 0.9, 3
+        else:
+            # stiff: ||hM||_1 = 2.1e3
+            M, h, p = make_heat1d(64).A, 1 / 8, 4
+        V = [rng.standard_normal(len(M)) for _ in range(p + 1)]
+        phis = phi_augmented_ref(h * M, p)
+        want = sum(h**j * (phis[j] @ V[j]) for j in range(p + 1))
         got = phi_combo_apply(M, h, V)
         assert np.linalg.norm(got - want) <= 1e-11 * max(1.0, np.linalg.norm(want))
 
@@ -372,7 +381,7 @@ class TestPhiCache:
         h = 0.05
         cache = build_phi_cache(A, h, [Fraction(1)], 1)
         assert len(cache.entries) == 2
-        assert np.allclose(cache.get(1, 0), expm(h * A), rtol=1e-12, atol=1e-13)
+        assert np.allclose(cache.get(1, 0), scipy.linalg.expm(h * A), rtol=1e-12, atol=1e-13)
 
     def test_exponential_invariant_at_index_zero(self):
         # symmetric operator exercises the spectral path
@@ -381,7 +390,7 @@ class TestPhiCache:
         A = A + A.T
         cache = build_phi_cache(A, 0.1, [Fraction(1, 2), Fraction(1)], 2)
         for c in (Fraction(1, 2), Fraction(1)):
-            want = expm(float(c) * 0.1 * A)
+            want = scipy.linalg.expm(float(c) * 0.1 * A)
             assert np.linalg.norm(cache.get(c, 0) - want) <= 1e-11 * np.linalg.norm(want)
 
     def test_spectral_path_matches_augmented_path(self):
@@ -516,12 +525,11 @@ class TestClosedFormBasis:
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_heat1d_eigenpairs_match_eigh(self, n):
-        from exprk.phi import _sine_eigenpairs, _tridiagonal_toeplitz
+        from exprk.phi import _sine_basis, _sine_eigenvalues, _tridiagonal_toeplitz
         from exprk.problems import make_heat1d
 
         A = make_heat1d(n).A
-        a, b = _tridiagonal_toeplitz(A)
-        lam, Q = _sine_eigenpairs(n, a, b)
+        lam, Q = _sine_eigenvalues(n, *_tridiagonal_toeplitz(A)), _sine_basis(n)
         norm = np.linalg.norm(A, 2)
         assert np.max(np.abs(np.sort(lam) - np.linalg.eigvalsh(A))) <= 1e-12 * norm
         assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-14
