@@ -1,14 +1,13 @@
-"""Command-line harness: condition audits, convergence studies, benchmarks.
+"""Command-line harness: condition audits, convergence studies, single runs.
 
 Subcommands
 -----------
 check      verify a scheme's order conditions, CSV residual report
 converge   fixed-step convergence study on a benchmark problem
 integrate  single integration run, one CSV row
-bench      repeated timing of one run (every state must match bitwise)
 trees      list the condition trees up to a given order
 
-integrate and bench run from t = 0 to --t-end and converge from 0 to 1:
+integrate runs from t = 0 to --t-end and converge from 0 to 1:
 each problem's initial state is its state at t = 0. Exit codes: 0 on
 success, 1 when a condition or consistency check fails or an integration
 diverges, 2 on usage errors. All reports are CSV with a header row, UTF-8,
@@ -21,19 +20,16 @@ import argparse
 import csv
 import io
 import math
-import statistics
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .conditions import DEFAULT_SEED, DEFAULT_TOLERANCE, check_scheme
-from .integrator import DivergenceError, integrate, precompute
+from .conditions import DEFAULT_SEED, DEFAULT_TOLERANCE, check_scheme, condition_table
+from .integrator import DivergenceError, integrate
 from .problems import PROBLEM_FACTORIES, error_at, problem_by_name
 from .tableaus import SCHEME_NAMES, scheme_by_name
-from .trees import enumerate_trees
 
 __all__ = [
     "ConvergenceReport",
@@ -42,7 +38,6 @@ __all__ = [
     "cmd_check",
     "cmd_converge",
     "cmd_integrate",
-    "cmd_bench",
     "cmd_trees",
 ]
 
@@ -167,50 +162,21 @@ def cmd_integrate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    scheme = scheme_by_name(args.scheme)
-    problem = problem_by_name(args.problem, args.n)
-    h = float(args.h)
-    if args.reps < 3:
-        print("bench needs at least 3 repetitions", file=sys.stderr)
-        return 2
-    ctx = precompute(scheme, problem.A, h)
-    times = []
-    for rep in range(args.reps):
-        result = integrate(scheme, problem, 0.0, args.t_end, h, ctx=ctx)
-        times.append(result.total_seconds)
-        state = result.state
-        if rep == 0:
-            first = state
-        elif not _bitwise_equal(first, state):
-            print(f"bench: run {rep + 1} and run 1 differ (not reproducible)",
-                  file=sys.stderr)
-            return 1
-    _write_out(_csv(["reps", "median_seconds", "min_seconds", "max_seconds"],
-                    [[len(times), repr(statistics.median(times)),
-                      repr(min(times)), repr(max(times))]]), args.out)
-    return 0
-
-
-def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 def cmd_trees(args) -> int:
-    table = enumerate_trees(args.order)
+    conds = condition_table(args.order)
     _write_out(_csv(["number", "order", "symmetry", "kind", "tree"],
-                    ([num, t.order, t.symmetry, "b" if t.is_quadrature() else "nested",
-                      t.bracket()] for num, t in enumerate(table, start=1))), args.out)
-    counts = table.counts_per_order()
+                    ([c.number, c.order, c.tree.symmetry, c.kind, c.tree.bracket()]
+                     for c in conds)), args.out)
+    counts = Counter(c.order for c in conds)
     summary = ", ".join(f"order {q}: {counts[q]}" for q in sorted(counts))
-    print(f"{len(table)} trees up to order {args.order} ({summary})", file=sys.stderr)
+    print(f"{len(conds)} trees up to order {args.order} ({summary})", file=sys.stderr)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exprk",
-        description="Exponential integrator toolbox: audits, studies, benchmarks.",
+        description="Exponential integrator toolbox: audits, studies, single runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -246,13 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--h", type=_parse_fraction, default=Fraction(1, 32))
     p_int.add_argument("--t-end", dest="t_end", type=float, default=1.0)
     p_int.set_defaults(func=cmd_integrate)
-
-    p_bench = sub.add_parser("bench", help="time repeated runs, check they agree")
-    add_common(p_bench)
-    p_bench.add_argument("--h", type=_parse_fraction, default=Fraction(1, 32))
-    p_bench.add_argument("--t-end", dest="t_end", type=float, default=1.0)
-    p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.set_defaults(func=cmd_bench)
 
     p_trees = sub.add_parser("trees", help="list condition trees")
     p_trees.add_argument("--order", dest="order", type=int, default=6)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .phi import PhiCache, phi_all_dense
 from .tableaus import PhiPoly, Scheme
-from .trees import Tree, TreeTable, enumerate_trees
+from .trees import Tree, enumerate_trees
 
 __all__ = [
     "Condition",
@@ -45,7 +45,6 @@ __all__ = [
     "RandomModel",
     "PhiAtMatrix",
     "psi",
-    "elementary_differential",
     "residual",
     "ConditionResult",
     "ConditionReport",
@@ -73,9 +72,8 @@ class Condition:
 
 def condition_table(p: int) -> list[Condition]:
     """The numbered conditions for order p, from the canonical tree table."""
-    table: TreeTable = enumerate_trees(p)
     out = []
-    for num, t in enumerate(table, start=1):
+    for num, t in enumerate(enumerate_trees(p), start=1):
         kind = "b" if t.is_quadrature() else "nested"
         out.append(Condition(number=num, tree=t, order=t.order, kind=kind))
     return out
@@ -100,7 +98,7 @@ class PhiAtMatrix(PhiCache):
     """
 
     def __init__(self, Z: np.ndarray, kmax: int):
-        super().__init__(h=1.0, kmax=kmax)
+        super().__init__(kmax=kmax)
         self.Z = np.asarray(Z, dtype=float)
         self._coeffs: dict[int, tuple[PhiPoly, np.ndarray]] = {}
         self._psi: dict[tuple[int, int, int], tuple[Scheme, np.ndarray]] = {}
@@ -223,7 +221,13 @@ class _StageVectors:
         self._prefs: dict[tuple, float] = {}
 
     def vector(self, tree: Tree, path: tuple, i: int) -> np.ndarray:
-        """Stage-i vector of the subtree at path; see elementary_differential."""
+        """Stage-i vector attached to the subtree at path in the nested conditions.
+
+        White leaf: c_i * w. Quadrature subtree with l leaves: the stage
+        defect of index l+1 applied to the node's map at (w, ..., w). Nested
+        subtree: the symmetry prefactor times sum_j a_ij(Z) applied to the
+        node's map at its children's stage-j vectors.
+        """
         if tree.kind == "white":
             return float(self.scheme.c[i]) * self.w
         if tree.is_quadrature():
@@ -261,18 +265,6 @@ class _StageVectors:
             pref = self._prefs[path] = float(
                 Fraction(math.prod(c.symmetry for c in tree.children), tree.symmetry))
         return pref
-
-
-def elementary_differential(tree: Tree, i: int, scheme: Scheme, ev: PhiAtMatrix,
-                            maps: dict, w: np.ndarray, path: tuple = ()) -> np.ndarray:
-    """Stage-i vector attached to a child tree in the nested conditions.
-
-    White leaf: c_i * w. Quadrature child with l leaves: the stage defect of
-    index l+1 applied to the node's map at (w, ..., w). Nested child: the
-    symmetry prefactor times sum_j a_ij(Z) applied to the node's map at the
-    grandchildren's stage-j vectors, each formed once per (node, stage).
-    """
-    return _StageVectors(scheme, ev, maps, w).vector(tree, path, i)
 
 
 def residual(cond: Condition, scheme: Scheme, model: RandomModel,
@@ -358,13 +350,13 @@ def check_scheme(scheme: Scheme, p: int, mode: str = "strong", seeds: int = 3,
     """Evaluate every condition of order <= p over several random models.
 
     Reports the maximum residual per condition across the seeds; a condition
-    passes when that maximum stays within tol. Raises ValueError for p > 6
-    and, before any work, for seeds < 1 or n < 1, which would check nothing,
-    and for a tol that is not finite and >= 0, under which every condition
-    would pass or every one fail.
+    passes when that maximum stays within tol. Raises ValueError for p
+    outside 2..6 and, before any work, for seeds < 1 or n < 1, which would
+    check nothing, and for a tol that is not finite and >= 0, under which
+    every condition would pass or every one fail.
     """
-    if p > 6:
-        raise ValueError("condition checks are provided up to order 6")
+    if not 2 <= p <= 6:
+        raise ValueError(f"condition checks support orders 2..6, got {p}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if seeds < 1:

@@ -321,10 +321,6 @@ class TrajectoryResult:
     mode: str  # always "sequential"; kept for callers that construct one with it
     step_seconds: list[float]
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.step_seconds)
-
 
 def _step_count(t0: float, t_end: float, h: float) -> int:
     if not (math.isfinite(t0) and math.isfinite(t_end)):

@@ -254,9 +254,7 @@ class KrylovInfo:
     """How the matrix-free combo was obtained."""
 
     m: int
-    converged: bool
     dense_fallback: bool
-    error_estimate: float
 
 
 def _combo_error_estimate(beta: float, H: np.ndarray, F: np.ndarray, k: int) -> float:
@@ -296,7 +294,7 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
         w0[n + p - 1] = 1.0
     beta = np.linalg.norm(w0)
     if beta == 0.0:
-        return _done(np.zeros(n), KrylovInfo(0, True, False, 0.0))
+        return _done(np.zeros(n), KrylovInfo(0, False))
 
     B = np.zeros((n, p))
     for i in range(p):
@@ -322,7 +320,7 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
         est = _combo_error_estimate(beta, Hm, F, k)
         scale = max(np.linalg.norm(u), 1e-30)
         if est <= 0.25 * tol * scale:
-            return _done(u[:n], KrylovInfo(k, True, False, est))
+            return _done(u[:n], KrylovInfo(k, False))
         if m >= naug or k < m:  # full, or invariant and unable to grow
             break
         m = min(2 * m, naug)
@@ -340,7 +338,7 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
 
     A = _materialize(apply_A, n)
     result = phi_combo_apply(A, h, V)
-    return _done(result, KrylovInfo(naug, False, True, float("nan")))
+    return _done(result, KrylovInfo(naug, True))
 
 
 # Largest working set build_phi_cache may allocate, in bytes. Above it the
@@ -409,7 +407,6 @@ class PhiCache:
     vectors, between the two coordinates.
     """
 
-    h: float
     kmax: int
     entries: dict = field(default_factory=dict)
     basis: np.ndarray | None = None
@@ -581,7 +578,7 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
             f"{CACHE_BUDGET_BYTES} bytes"
         )
 
-    cache = PhiCache(h=float(h), kmax=kmax)
+    cache = PhiCache(kmax=kmax)
     if transform or fold:
         lam = _sine_eigenvalues(n, *toeplitz)
         cache.sine_transform = transform

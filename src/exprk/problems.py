@@ -44,7 +44,6 @@ class SemilinearProblem:
     u0: np.ndarray
     dx: float
     exact: Optional[Callable[[float], np.ndarray]] = None
-    lipschitz_bound: Optional[float] = None
 
     def f(self, t: float, u: np.ndarray) -> np.ndarray:
         """Full right-hand side A u + g(t, u)."""
@@ -103,11 +102,9 @@ def make_heat1d(n: int = 200) -> SemilinearProblem:
 
     u0 = exact(0.0)
     u0.setflags(write=False)
-    # |d/du 1/(1+u^2)| = |2u|/(1+u^2)^2 peaks at u = 1/sqrt(3)
-    lip = 3.0 * math.sqrt(3.0) / 8.0
     return SemilinearProblem(
         name="heat1d", n=n, A=A, apply_A=lambda v: np.correlate(v, stencil, "same"),
-        g=g, u0=u0, dx=1.0 / (n + 1), exact=exact, lipschitz_bound=lip,
+        g=g, u0=u0, dx=1.0 / (n + 1), exact=exact,
     )
 
 
@@ -135,7 +132,7 @@ def make_linear_decay(n: int = 128) -> SemilinearProblem:
 
     return SemilinearProblem(
         name="lindecay", n=n, A=A, apply_A=lambda v: A @ v, g=g, u0=u0,
-        dx=1.0 / (n + 1), exact=exact, lipschitz_bound=0.0,
+        dx=1.0 / (n + 1), exact=exact,
     )
 
 

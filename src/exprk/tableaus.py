@@ -18,7 +18,7 @@ when phi matrices are evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import factorial
@@ -161,18 +161,6 @@ class Scheme:
     def max_phi_index(self) -> int:
         # at least 1: the structural phi_1 terms
         return max([1] + [p.max_index for _, row in self.rows.values() for p in row.values()])
-
-    def report(self) -> str:
-        """Human-readable dump of nodes, groups and exact weights."""
-        lines = [f"scheme {self.name}: {self.s} stage(s)"]
-        lines.append("nodes: " + ", ".join(f"c{i}={self.c[i]}" for i in sorted(self.c)))
-        lines.append("groups: " + " | ".join("{" + ",".join(map(str, g)) + "}" for g in self.groups))
-        for i, (c, row) in self.rows.items():
-            for j in sorted(row):
-                ws = " + ".join(f"({w})*phi_{k}" for k, w in row[j].terms)
-                label = f"a[{i},{j}]" if i <= self.s else f"b[{j}]"
-                lines.append(f"{label} @ node {c}: {ws}")
-        return "\n".join(lines)
 
 
 def _stage_rows(rows: list[int], cols: list[int],

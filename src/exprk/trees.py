@@ -26,7 +26,6 @@ __all__ = [
     "LEAF",
     "node",
     "quadrature_tree",
-    "TreeTable",
     "enumerate_trees",
 ]
 
@@ -65,17 +64,6 @@ class Tree:
     def is_quadrature(self) -> bool:
         """All children are white leaves (the single b-weight tree per order)."""
         return self.kind == "node" and all(c.kind == "white" for c in self.children)
-
-    def is_nested(self) -> bool:
-        """Interior tree with at least one non-leaf child, recursively valid."""
-        if self.kind != "node":
-            return False
-        if all(c.kind == "white" for c in self.children):
-            return False
-        return all(
-            c.kind == "white" or c.is_quadrature() or c.is_nested()
-            for c in self.children
-        )
 
     def bracket(self) -> str:
         """Serialized form, e.g. "[•,•]" or "[[•],•]"."""
@@ -136,32 +124,6 @@ def quadrature_tree(q: int) -> Tree:
     return node(*([LEAF] * (q - 1)))
 
 
-@dataclass(frozen=True)
-class TreeTable:
-    """All condition trees up to one order in the stable numbering.
-
-    Sorted by order; within each order the quadrature tree comes first,
-    then nested trees in canonical key order. Numbering is 1-based.
-    """
-
-    trees: tuple[Tree, ...]
-
-    def __len__(self):
-        return len(self.trees)
-
-    def __iter__(self):
-        return iter(self.trees)
-
-    def number_of(self, t: Tree) -> int:
-        return self.trees.index(t) + 1
-
-    def counts_per_order(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for t in self.trees:
-            counts[t.order] = counts.get(t.order, 0) + 1
-        return counts
-
-
 def _nested_trees_of_order(q: int, universe: dict[int, list[Tree]]) -> list[Tree]:
     """All nested trees of order q given child candidates per order < q."""
     found = set()
@@ -198,17 +160,15 @@ def _nested_trees_of_order(q: int, universe: dict[int, list[Tree]]) -> list[Tree
     return sorted(found, key=_sort_key)
 
 
-def enumerate_trees(p: int) -> TreeTable:
-    """Duplicate-free table of all condition trees with order <= p."""
+def enumerate_trees(p: int) -> tuple[Tree, ...]:
+    """Duplicate-free table of all condition trees with order <= p.
+
+    Sorted by order; within each order the quadrature tree comes first,
+    then nested trees in canonical key order.
+    """
     if not 2 <= p <= 8:
         raise ValueError("tree enumeration supports orders 2..8")
     universe: dict[int, list[Tree]] = {1: [LEAF]}
-    per_order: dict[int, list[Tree]] = {}
     for q in range(2, p + 1):
-        nested = _nested_trees_of_order(q, universe)
-        per_order[q] = [quadrature_tree(q)] + nested
-        universe[q] = per_order[q]
-    trees: list[Tree] = []
-    for q in range(2, p + 1):
-        trees.extend(per_order[q])
-    return TreeTable(tuple(trees))
+        universe[q] = [quadrature_tree(q)] + _nested_trees_of_order(q, universe)
+    return tuple(t for q in range(2, p + 1) for t in universe[q])

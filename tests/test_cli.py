@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, CSV output and divergence reporting."""
 
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -34,33 +35,7 @@ def test_check_fails_exprk6s15_in_strong_mode(capsys):
     assert "1 condition(s) failed: 17" in capsys.readouterr().err
 
 
-BENCH = ["bench", "--scheme", "expk2", "--n", "16", "--h", "1/4"]
-
-
-def test_bench_passes_when_runs_agree(capsys):
-    assert exit_code(BENCH) == 0
-    assert capsys.readouterr().out.startswith("reps,median_seconds,min_seconds,max_seconds")
-
-
-def test_bench_fails_on_injected_fault(monkeypatch, capsys):
-    # the last of the 5 repetitions ends one ulp away from the others
-    integrate, results = cli.integrate, []
-
-    def last_run_one_ulp_off(*args, **kwargs):
-        result = integrate(*args, **kwargs)
-        results.append(result)
-        if len(results) == 5:
-            result.state[0] = np.nextafter(result.state[0], np.inf)
-        return result
-
-    monkeypatch.setattr(cli, "integrate", last_run_one_ulp_off)
-    assert exit_code(BENCH) == 1
-    assert len(results) == 5
-    assert "run 5 and run 1 differ" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [
-    BENCH + ["--reps", "2"],
     ["integrate", "--scheme", "expk2", "--problem", "nosuch"],
     ["integrate", "--scheme", "expk2", "--n", "16", "--h", "3/10"],
     ["check", "--scheme", "exprk6s15", "--seeds", "0"],
@@ -70,7 +45,6 @@ def test_bench_fails_on_injected_fault(monkeypatch, capsys):
     ["check", "--scheme", "exprk6s16", "--tol", "inf"],
     ["check", "--scheme", "exprk6s16", "--tol=-1e-10"],
     ["integrate", "--scheme", "expk2", "--n", "16", "--h", "1/0"],
-    ["bench", "--scheme", "expk2", "--n", "16", "--h", "1/0"],
     ["converge", "--scheme", "expk2", "--n", "16", "--steps", "1/2,1/0"],
     ["converge", "--scheme", "expk2", "--n", "16", "--steps", ","],
     ["integrate", "--scheme", "expk2", "--problem", "lindecay", "--n", "0"],
@@ -78,14 +52,13 @@ def test_bench_fails_on_injected_fault(monkeypatch, capsys):
     ["integrate", "--scheme", "expk2", "--n", "16", "--t-end", "nan"],
     # runs start from each problem's state at t = 0
     ["integrate", "--scheme", "expk2", "--n", "16", "--h", "1/4", "--t0", "0.5"],
-    ["bench", "--scheme", "expk2", "--n", "16", "--h", "1/4", "--t0", "0.5"],
-], ids=["too-few-reps", "unknown-problem", "step-does-not-divide",
+], ids=["unknown-problem", "step-does-not-divide",
         "check-no-seeds", "check-negative-seeds", "check-empty-model",
         "check-nan-tol", "check-inf-tol", "check-negative-tol",
-        "integrate-zero-denominator-h", "bench-zero-denominator-h",
+        "integrate-zero-denominator-h",
         "converge-zero-denominator-step", "converge-empty-steps",
         "lindecay-no-points", "integrate-infinite-t-end", "integrate-nan-t-end",
-        "integrate-t0", "bench-t0"])
+        "integrate-t0"])
 def test_usage_errors_exit_2(argv):
     assert exit_code(argv) == 2
 
@@ -115,6 +88,29 @@ def test_trees_outside_2_to_8_exits_2_with_one_error_line(capsys, order):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: tree enumeration supports orders 2..8\n"
+
+
+@pytest.mark.parametrize("order", [1, 7])
+def test_check_outside_2_to_6_exits_2_with_one_error_line(capsys, order):
+    assert exit_code(["check", "--scheme", "exprk6s16", "--order", str(order)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: condition checks support orders 2..6, got {order}\n"
+
+
+@pytest.mark.parametrize("order, sha256, summary", [
+    (6, "83ee10f02c743e0f53052d078ee222dcc9dd7e09fce5438c11756813430655ac",
+     "36 trees up to order 6 (order 2: 1, order 3: 2, order 4: 4, order 5: 9, "
+     "order 6: 20)"),
+    (8, "aabda148f2a15e23960d408be74ed316bdf528f3ee28787a267127452f089098",
+     "199 trees up to order 8 (order 2: 1, order 3: 2, order 4: 4, order 5: 9, "
+     "order 6: 20, order 7: 48, order 8: 115)"),
+], ids=["order-6", "order-8"])
+def test_trees_output_is_golden(capsys, order, sha256, summary):
+    assert exit_code(["trees", "--order", str(order)]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == sha256
+    assert captured.err == summary + "\n"
 
 
 def _diverging(problem_by_name):

@@ -10,8 +10,8 @@ from exprk.conditions import (
     PhiAtMatrix,
     RandomModel,
     check_scheme,
+    _StageVectors,
     condition_table,
-    elementary_differential,
     psi,
     residual,
 )
@@ -128,14 +128,13 @@ class TestPsiB:
 
 class TestElementaryDifferential:
     def test_white_leaf(self, s15, ev, model):
-        got = elementary_differential(LEAF, 5, s15, ev, {}, model.w)
+        got = _StageVectors(s15, ev, {}, model.w).vector(LEAF, (), 5)
         assert np.allclose(got, 0.5 * model.w)
 
     def test_quadrature_child_at_stage_two(self, s15, ev, model):
         rng = np.random.default_rng(1)
         T = rng.standard_normal((4, 4))
-        got = elementary_differential(quadrature_tree(2), 2, s15, ev,
-                                      {(): T}, model.w)
+        got = _StageVectors(s15, ev, {(): T}, model.w).vector(quadrature_tree(2), (), 2)
         want = psi(2, 2, s15, ev) @ (T @ model.w)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
 
@@ -146,7 +145,7 @@ class TestElementaryDifferential:
         T_in = rng.standard_normal((4, 4))
         maps = {(): T_out, (0,): T_in}
         tree = node(node(LEAF))
-        got = elementary_differential(tree, 8, s15, ev, maps, model.w)
+        got = _StageVectors(s15, ev, maps, model.w).vector(tree, (), 8)
         want = np.zeros(4)
         for j in (5, 6, 7):
             want += ev.coeff(s15.a[(8, j)]) @ (
@@ -322,7 +321,7 @@ class TestStageVectors:
         for cond in condition_table(6):
             maps = model.maps_for(cond)
             for i in (3, 9, 16):
-                got = elementary_differential(cond.tree, i, s16, ev, maps, model.w)
+                got = _StageVectors(s16, ev, maps, model.w).vector(cond.tree, (), i)
                 want = elementary_differential_ref(cond.tree, i, s16, ev, maps, model.w)
                 assert got.tobytes() == want.tobytes(), (cond.number, i)
 

@@ -349,7 +349,7 @@ class TestPhiComboApplyKrylov:
             return A @ v
 
         out, info = phi_combo_apply_krylov(apply_A, 2e-3, V, 1e-9, return_info=True)
-        assert info.converged and info.m == 32  # two doublings: 8, 16, 32
+        assert not info.dense_fallback and info.m == 32  # two doublings: 8, 16, 32
         # one product per basis column, plus one: arnoldi keeps no column for
         # its next vector, so the first extension recomputes its last column
         assert len(calls) == info.m + 1
@@ -369,7 +369,7 @@ class TestPhiComboApplyKrylov:
         out, info = phimod.phi_combo_apply_krylov(
             lambda v: A @ v, 1e-4, V, 1e-9, return_info=True
         )
-        assert info.dense_fallback and not info.converged
+        assert info.dense_fallback
         dense = phi_combo_apply(A, 1e-4, V)
         assert np.allclose(out, dense, rtol=1e-12, atol=1e-13)
 

@@ -361,12 +361,3 @@ class TestEvalCoeff:
         cache = build_phi_cache(np.zeros((3, 3)), 1.0, [F(1)], 1)
         with pytest.raises(KeyError):
             cache.coeff(PhiPoly.make(F(1, 2), {1: 1}))
-
-
-class TestReport:
-    def test_report_mentions_nodes_and_weights(self, s15):
-        text = s15.report()
-        assert "exprk6s15" in text
-        assert "c12=90/103" in text
-        assert "b[12]" in text
-        assert "{12,13,14,15}" in text

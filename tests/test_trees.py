@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from exprk.conditions import condition_table
 from exprk.trees import LEAF, Tree, enumerate_trees, node, quadrature_tree
 from oracles import order_bruteforce, symmetry_bruteforce
 
@@ -71,14 +73,18 @@ class TestMembership:
         assert not node(node(LEAF)).is_quadrature()
 
     def test_nested_trees(self):
-        assert node(node(LEAF)).is_nested()
-        assert node(node(LEAF), LEAF).is_nested()
-        assert not node(LEAF, LEAF).is_nested()
-        assert not LEAF.is_nested()
+        kinds = {c.tree: c.kind for c in condition_table(6)}
+        assert kinds[node(node(LEAF))] == "nested"
+        assert kinds[node(node(LEAF), LEAF)] == "nested"
+        assert kinds[node(LEAF, LEAF)] == "b"
+        assert LEAF not in kinds
 
     def test_families_disjoint_on_enumeration(self):
-        for t in enumerate_trees(6):
-            assert t.is_quadrature() != t.is_nested()
+        # each condition tree is an interior node, of kind "b" exactly when
+        # all its children are leaves and "nested" otherwise
+        for cond in condition_table(6):
+            assert cond.tree.kind == "node"
+            assert (cond.kind == "b") == all(c.kind == "white" for c in cond.tree.children)
 
     def test_derivative_leaves_never_enumerated(self):
         for t in enumerate_trees(6):
@@ -99,12 +105,12 @@ class TestEnumeration:
         assert len(enumerate_trees(6)) == 36
 
     def test_counts_per_order(self):
-        counts = enumerate_trees(6).counts_per_order()
+        counts = Counter(t.order for t in enumerate_trees(6))
         assert counts == {2: 1, 3: 2, 4: 4, 5: 9, 6: 20}
 
     def test_no_duplicates(self):
         table = enumerate_trees(6)
-        assert len(set(table.trees)) == len(table)
+        assert len(set(table)) == len(table)
 
     def test_orders_nondecreasing_quadrature_first(self):
         table = enumerate_trees(6)
@@ -120,7 +126,7 @@ class TestEnumeration:
         # the quadrature trees of orders 2..6 must sit at 1, 2, 4, 8, 17
         table = enumerate_trees(6)
         for q, num in zip(range(2, 7), (1, 2, 4, 8, 17)):
-            assert table.number_of(quadrature_tree(q)) == num
+            assert table.index(quadrature_tree(q)) + 1 == num
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -130,7 +136,7 @@ class TestEnumeration:
 
     def test_order_eight_runs(self):
         table = enumerate_trees(8)
-        counts = table.counts_per_order()
+        counts = Counter(t.order for t in table)
         assert counts[6] == 20  # unchanged below the new orders
         assert len(table) > 36
 
