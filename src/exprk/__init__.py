@@ -5,6 +5,7 @@ and a fixed-step benchmark harness."""
 from .conditions import ConditionReport, check_scheme
 from .integrator import TrajectoryResult, integrate, precompute, step
 from .phi import (
+    TridiagonalToeplitz,
     arnoldi,
     build_phi_cache,
     phi_all_dense,
@@ -33,6 +34,7 @@ __all__ = [
     "integrate",
     "precompute",
     "step",
+    "TridiagonalToeplitz",
     "arnoldi",
     "build_phi_cache",
     "phi_all_dense",

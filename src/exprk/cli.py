@@ -17,8 +17,6 @@ LF.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 import time
@@ -26,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conditions import DEFAULT_SEED, DEFAULT_TOLERANCE, check_scheme, condition_table
+from .conditions import DEFAULT_SEED, DEFAULT_TOLERANCE, _csv, check_scheme, condition_table
 from .integrator import DivergenceError, integrate
 from .problems import PROBLEM_FACTORIES, error_at, problem_by_name
 from .tableaus import SCHEME_NAMES, scheme_by_name
@@ -94,14 +92,6 @@ def run_convergence(scheme_name: str, problem_name: str, steps=DEFAULT_STEPS,
         rows.append(row)
         prev = row
     return ConvergenceReport(scheme=scheme_name, problem=problem_name, rows=rows)
-
-
-def _csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _write_out(text: str, out_path: str | None):

@@ -335,13 +335,17 @@ class ConditionReport:
     CSV_FIELDS = ("number", "order", "kind", "tree", "residual", "pass")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_FIELDS)
-        for r in self.results:
-            writer.writerow([r.number, r.order, r.kind, r.tree,
-                             repr(r.residual), str(r.passed).lower()])
-        return buf.getvalue()
+        return _csv(self.CSV_FIELDS, ([r.number, r.order, r.kind, r.tree,
+                                       repr(r.residual), str(r.passed).lower()]
+                                      for r in self.results))
+
+
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def check_scheme(scheme: Scheme, p: int, mode: str = "strong", seeds: int = 3,

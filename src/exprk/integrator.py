@@ -11,22 +11,22 @@ group's stage values are one combination, after which its g calls run in
 stage order. A run is bitwise reproducible.
 
 The dense path builds its phi cache once per (A, h) and then assembles
-nothing per step. For symmetric A the cache holds an eigenbasis and
-length-n tables of phi_j on the eigenvalues, and precompute folds each
+nothing per step. For symmetric A the cache holds a basis of eigenvectors
+and length-n tables of phi_j on the eigenvalues, and precompute folds each
 coefficient a_ij(z) = sum_m w_m phi_m(c_i z) into one table on the
 eigenvalues. F goes into basis coordinates once, each group's increments
 are one contraction of its stacked tables with the stacked D_j, and one
 basis change brings the group back; the group's D_j go into the basis
 with one more. That is 12 basis changes per exprk6s16 step: one for F, two
-per group and one for the update. Each is a product with the n x n
-eigenvector matrix Q, except for a tridiagonal Toeplitz A from
-phi.SINE_FOLD_MIN_N up: below phi.SINE_TRANSFORM_MIN_N it is two products
-with halves of the sine matrix Q, half the multiply-adds, and from there up
-an O(n log n) sine transform that stores no Q.
-For general A the cache holds dense phi matrices and the basis is the
-identity; precompute folds each coefficient into one n x n matrix, and a
-group's increments are one matrix-vector product of its folded matrices,
-laid side by side, with the stacked D_j.
+per group and one for the update. The cache's basis object makes them:
+products with the eigenvector matrix Q, or for a phi.TridiagonalToeplitz A
+from phi.SINE_FOLD_MIN_N up two products with halves of the sine matrix Q,
+half the multiply-adds, and from phi.SINE_TRANSFORM_MIN_N up an
+O(n log n) sine transform that stores no Q.
+For general A the cache holds dense phi matrices and no basis; precompute
+folds each coefficient into one n x n matrix, and a group's increments are
+one matrix-vector product of its folded matrices, laid side by side, with
+the stacked D_j.
 The matrix-free path evaluates each stage with a Krylov approximation of
 the phi combination instead.
 
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi import PhiCache, build_phi_cache, phi_combo_apply_krylov
+from .phi import PhiCache, TridiagonalToeplitz, build_phi_cache, phi_combo_apply_krylov
 from .problems import SemilinearProblem
 from .tableaus import PhiPoly, Scheme
 
@@ -102,8 +102,8 @@ class _Group:
     block. The combination reads the rows `reads` of D, an index array built
     once, whose first entry is row 1: F, with coefficient c_i phi_1(c_i hA).
     On the dense path `tables` holds row r's coefficient of D[reads[k]], its
-    phi polynomial folded into one entry: with an eigenbasis tables[r, k] is
-    a table on the eigenvalues, shape (rows, k, n); without, tables[r, :, k]
+    phi polynomial folded into one entry: with a basis tables[r, k] is a
+    table on the eigenvalues, shape (rows, k, n); without, tables[r, :, k]
     is an n x n matrix, shape (rows, n, k, n), so that each row's matrices
     lie side by side.
     """
@@ -130,7 +130,7 @@ def _stack(cache: PhiCache, n: int, polys: list) -> np.ndarray:
     n x n matrices go straight into their side-by-side slots, so the group's
     matrices are never held twice; the small eigenvalue tables are stacked.
     """
-    if cache.eigenbasis:
+    if cache.basis is not None:
         tables = np.array([[cache.coeff(poly) for poly in row] for row in polys])
     else:
         tables = np.empty((len(polys), n, len(polys[0]), n))
@@ -145,8 +145,8 @@ def _stack(cache: PhiCache, n: int, polys: list) -> np.ndarray:
 class StepContext:
     """Everything reusable across steps for one (scheme, operator, h).
 
-    `A` is the matrix the context was built from, or None when only an
-    operator action was given, whose size is then not known.
+    `A` is the record or matrix the context was built from, or None when
+    only an operator action was given, whose size is then not known.
     """
 
     scheme: Scheme
@@ -175,8 +175,8 @@ class StepContext:
 def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepContext:
     """Build the phi cache (dense path) and the per-group evaluation plans.
 
-    A may be a dense matrix or, with krylov=True, any operator action; in the
-    latter case no cache is built and stages use Krylov evaluations.
+    A is a TridiagonalToeplitz record, a dense matrix or, with krylov=True, any
+    operator action; then no cache is built and stages use Krylov evaluations.
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
@@ -224,7 +224,7 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray) -> np.ndarray:
     D[1] holds F and D[j] stage j's increment, in the cache's basis
     coordinates on the dense path; the result is in the original ones. On
     the dense path the whole group is one contraction of its folded
-    coefficients (a product of tables with an eigenbasis, one matrix-vector
+    coefficients (a product of tables with a basis, one matrix-vector
     product without) and one basis change; matrix-free, each row is one
     Krylov evaluation. The result is a new array, which `step` updates in place.
     """
@@ -232,7 +232,7 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray) -> np.ndarray:
     if group.tables is not None:
         # the gathered rows of D are a temporary of the product alone: it is
         # freed before the basis change allocates its result
-        if ctx.cache.eigenbasis:
+        if ctx.cache.basis is not None:
             coords = np.einsum("rkn,kn->rn", group.tables, D[group.reads])
         else:
             r, n = group.tables.shape[:2]
@@ -308,7 +308,8 @@ def _check_context(ctx: StepContext, scheme: Scheme, problem: SemilinearProblem,
         if ctx.apply_A is not problem.apply_A:
             raise ValueError("step context was built from another operator action; "
                              "build it from this problem's apply_A")
-    elif not (problem.A is ctx.A or np.array_equal(problem.A, ctx.A)):
+    elif not (problem.A is ctx.A or (ctx.A == problem.A if isinstance(ctx.A, TridiagonalToeplitz)
+                                     else np.array_equal(problem.A, ctx.A))):
         raise ValueError("step context was built for another matrix than problem.A")
 
 

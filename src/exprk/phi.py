@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "arnoldi",
     "KrylovInfo",
     "phi_combo_apply_krylov",
+    "TridiagonalToeplitz",
     "PhiCache",
     "build_phi_cache",
 ]
@@ -344,7 +345,7 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
 # Largest working set build_phi_cache may allocate, in bytes. Above it the
 # build is refused with a ValueError instead of running the host out of memory.
 CACHE_BUDGET_BYTES = 4 * 2**30
-# Smallest n at which a tridiagonal Toeplitz A changes basis by the sine
+# Smallest n at which a TridiagonalToeplitz A changes basis by the sine
 # transform (DST-I) instead of products with the stored n x n sine matrix.
 # Measured per exprk6s16 step (12 basis changes of 1,1,1,2,2,3,3,4,4,5,5,1
 # rows) on one core with one BLAS thread, matrix product against DST-I:
@@ -353,8 +354,8 @@ CACHE_BUDGET_BYTES = 4 * 2**30
 # Each n+1 there is prime, DST-I's slowest case; at n=404 (n+1 = 405) the
 # transform takes 330 us against 729 us.
 SINE_TRANSFORM_MIN_N = 512
-# From this n up, and below SINE_TRANSFORM_MIN_N, a tridiagonal Toeplitz A
-# changes basis by _sine_fold: half the multiply-adds, five more numpy calls.
+# From this n up, and below SINE_TRANSFORM_MIN_N, a TridiagonalToeplitz A
+# changes basis by _SineFold: half the multiply-adds, five more numpy calls.
 # Per exprk6s16 step as above, matrix product against fold (medians of 15):
 #   n=64:   23 vs  85 us   n=200: 106 vs 119 us   n=256:  167 vs 163 us
 #   n=300: 237 vs 180 us   n=400: 447 vs 284 us   n=510: 1375 vs 610 us
@@ -362,64 +363,119 @@ SINE_TRANSFORM_MIN_N = 512
 SINE_FOLD_MIN_N = 256
 
 
-def _sine_transform(v: np.ndarray) -> np.ndarray:
-    """v times the orthonormal sine matrix of _sine_basis, each row: a DST-I.
+@dataclass(frozen=True)
+class TridiagonalToeplitz:
+    """The n x n matrix with a on its diagonal, b on both diagonals beside it
+    and zeros elsewhere, kept as those three numbers. `A @ v` is the
+    three-point stencil; build_phi_cache takes its eigenpairs in closed form."""
 
-    The transform is its own inverse. scipy.fft is imported here, and so only
-    by processes that take this path: it adds about 4.6 MB to a process.
-    """
-    import scipy.fft
+    n: int
+    a: float
+    b: float
+    __array_ufunc__ = None  # ndarray operators defer: ndarray == record is False
 
-    return scipy.fft.dst(v, type=1, norm="ortho", axis=-1)
+    def __post_init__(self):  # formed once: converting a list costs each product 0.3 us
+        object.__setattr__(self, "_stencil", np.array([self.b, self.a, self.b]))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        if self.n < 3:  # "same" would pad the result to length 3
+            return np.correlate(v, self._stencil, "full")[1:-1]
+        return np.correlate(v, self._stencil, "same")
 
 
-def _sine_fold(v: np.ndarray, Qo: np.ndarray, Qe: np.ndarray) -> np.ndarray:
-    """v @ Q for the sine matrix Q, each row, from _sine_halves: row n+1-j of Q
-    is row j with its even columns negated (1-based), so the odd columns are
-    (v[:m] + v's last m reversed, an odd n's middle entry alone) @ Qo and the
-    even ones (v[:p] - v's last p reversed) @ Qe. Q is its own inverse."""
-    m, p = len(Qo), len(Qe)
-    s = v[..., :m] + v[..., :p - 1:-1]
-    if m > p:
-        s[..., p] = v[..., p]
-    out = np.empty(v.shape)
-    np.matmul(s, Qo, out=out[..., 0::2])
-    np.matmul(v[..., :p] - v[..., :m - 1:-1], Qe, out=out[..., 1::2])
-    return out
+class _MatrixBasis:
+    """Eigenvectors of a symmetric A kept as the n x n matrix Q, from `eigh`
+    or _sine_basis; each change of basis is a product with Q or Q^T."""
+
+    def __init__(self, Q: np.ndarray):
+        Q.setflags(write=False)
+        self.matrix = Q
+        # A block of 4 or more rows times the transposed view Q.T takes OpenBLAS
+        # 2-4x as long as times a contiguous array; a symmetric Q is its own Q^T.
+        self.transpose = Q if np.array_equal(Q, Q.T) else np.ascontiguousarray(Q.T)
+
+    def to_basis(self, v: np.ndarray) -> np.ndarray:
+        return v @ self.matrix
+
+    def from_basis(self, v: np.ndarray) -> np.ndarray:
+        return v @ self.transpose
+
+
+class _SineTransform:
+    """The sine matrix Q of _sine_basis, its own inverse, never kept: each
+    change of basis is a DST-I. scipy.fft is imported in to_basis, and so only
+    by processes that take this kind: it adds about 4.6 MB to a process."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return _sine_basis(self.n)
+
+    def to_basis(self, v: np.ndarray) -> np.ndarray:
+        import scipy.fft
+
+        return scipy.fft.dst(v, type=1, norm="ortho", axis=-1)
+
+    def from_basis(self, v: np.ndarray) -> np.ndarray:
+        return self.to_basis(v)
+
+
+class _SineFold(_SineTransform):
+    """The sine matrix Q kept as the read-only halves Q[:m, 0::2] and
+    Q[:p, 1::2], m = ceil(n/2) and p = floor(n/2): n*n/2 doubles."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        m = (n + 1) // 2
+        self.halves = (_sine_basis(n, slice(m), slice(0, n, 2)),
+                       _sine_basis(n, slice(n - m), slice(1, n, 2)))
+        for half in self.halves:
+            half.setflags(write=False)
+
+    def to_basis(self, v: np.ndarray) -> np.ndarray:
+        """v @ Q, each row: row n+1-j of Q is row j with its even columns
+        negated (1-based), so the odd columns are (v[:m] + v's last m
+        reversed, an odd n's middle entry alone) @ Qo and the even ones
+        (v[:p] - v's last p reversed) @ Qe."""
+        Qo, Qe = self.halves
+        m, p = len(Qo), len(Qe)
+        s = v[..., :m] + v[..., :p - 1:-1]
+        if m > p:
+            s[..., p] = v[..., p]
+        out = np.empty(v.shape)
+        np.matmul(s, Qo, out=out[..., 0::2])
+        np.matmul(v[..., :p] - v[..., :m - 1:-1], Qe, out=out[..., 1::2])
+        return out
 
 
 @dataclass
 class PhiCache:
     """Immutable store of phi_j(c*h*A) keyed by (node c, index j), of two kinds.
 
-    With an eigenbasis, A = Q diag(lam) Q^T is symmetric and each entry is the
+    With a `basis`, A = Q diag(lam) Q^T is symmetric and each entry is the
     read-only length-n table phi_j(c*h*lam): phi_j(c*h*A) acts on basis
-    coordinates Q^T v elementwise. The basis is kept in one of three ways (see
-    build_phi_cache): as the n x n matrix `basis`, from `eigh` or in closed
-    form as a sine matrix; as `sine_halves`, the halves of the sine matrix
-    that _sine_fold multiplies by; or, with `sine_transform` set, not at all,
-    the basis changes being sine transforms. Without an eigenbasis, the dense
-    kind, each entry is the read-only n x n matrix phi_j(c*h*A). `coeff` folds a
-    phi polynomial into one entry of the same kind: it is the one evaluator
-    of scheme coefficients, for the integrator and, through PhiAtMatrix, for
-    the order-condition checker. `get` returns a phi matrix in every case.
-    `to_basis` and `from_basis` map a vector, or each row of a block of
-    vectors, between the two coordinates.
+    coordinates Q^T v elementwise. The basis object (see build_phi_cache)
+    changes coordinates and forms Q as its `matrix`. Without a basis, the
+    dense kind, each entry is the read-only n x n matrix phi_j(c*h*A).
+    `coeff` folds a phi polynomial into one entry of the same kind: it is the
+    one evaluator of scheme coefficients, for the integrator and, through
+    PhiAtMatrix, for the order-condition checker. `get` returns a phi matrix
+    in every case. `to_basis` and `from_basis` map a vector, or each row of a
+    block of vectors, between the two coordinates (the identity without a basis).
     """
 
     kmax: int
     entries: dict = field(default_factory=dict)
-    basis: np.ndarray | None = None
-    sine_halves: tuple[np.ndarray, np.ndarray] | None = None
-    sine_transform: bool = False
-
-    @property
-    def eigenbasis(self) -> bool:
-        """Whether the entries are tables on the eigenvalues, not matrices."""
-        return self.basis is not None or self.sine_halves is not None or self.sine_transform
+    basis: _MatrixBasis | _SineTransform | None = None
 
     def entry(self, c: Fraction, j: int) -> np.ndarray:
-        """The stored table (with an eigenbasis) or matrix (without) for (c, j)."""
+        """The stored table (with a basis) or matrix (without) for (c, j)."""
         # a number hashes and compares equal to the Fraction of its value
         try:
             return self.entries[(c, j)]
@@ -427,11 +483,11 @@ class PhiCache:
             raise KeyError(f"phi cache has no entry for node {c}, index {j}") from None
 
     def get(self, c: Fraction, j: int) -> np.ndarray:
-        """phi_j(c*h*A) as a read-only n x n matrix, formed on demand with an eigenbasis."""
+        """phi_j(c*h*A) as a read-only n x n matrix, formed on demand with a basis."""
         entry = self.entry(c, j)
-        if not self.eigenbasis:
+        if self.basis is None:
             return entry
-        Q = _sine_basis(entry.size) if self.basis is None else self.basis
+        Q = self.basis.matrix
         mat = (Q * entry) @ Q.T
         mat.setflags(write=False)
         return mat
@@ -440,8 +496,8 @@ class PhiCache:
         """sum_j w_j phi_j(c*h*A) over the (j, w) terms of a PhiPoly at node c.
 
         Read-only, and of the entries' kind: a table on the eigenvalues with
-        an eigenbasis, an n x n matrix without. Not memoized: each call folds
-        the entries in term order, from zeros.
+        a basis, an n x n matrix without. Not memoized: each call folds the
+        entries in term order, from zeros.
         """
         out = np.zeros_like(self.entry(poly.c, 0))
         for j, w in poly.terms:
@@ -450,22 +506,10 @@ class PhiCache:
         return out
 
     def to_basis(self, v: np.ndarray) -> np.ndarray:
-        if self.sine_transform:
-            return _sine_transform(v)
-        if self.sine_halves is not None:
-            return _sine_fold(v, *self.sine_halves)
-        return v if self.basis is None else v @ self.basis
+        return v if self.basis is None else self.basis.to_basis(v)
 
     def from_basis(self, v: np.ndarray) -> np.ndarray:
-        # the sine matrix, kept as halves or not at all, and the identity are their own inverses
-        return self.to_basis(v) if self.basis is None else v @ self._basis_t
-
-    @cached_property
-    def _basis_t(self) -> np.ndarray:
-        # A block of 4 or more rows times the transposed view Q.T takes OpenBLAS
-        # 2-4x as long as times a contiguous array; a symmetric Q is its own Q^T.
-        Q = self.basis
-        return Q if np.array_equal(Q, Q.T) else np.ascontiguousarray(Q.T)
+        return v if self.basis is None else self.basis.from_basis(v)
 
 
 def _estimate_cache_bytes(n: int, nodes: int, kmax: int, symmetric: bool,
@@ -475,7 +519,7 @@ def _estimate_cache_bytes(n: int, nodes: int, kmax: int, symmetric: bool,
         # the tables alone: the basis is never formed
         return nodes * (kmax + 1) * n * 8
     if symmetric:
-        # A, the eigenbasis, and the eigh workspace or the sine index array;
+        # A, the eigenvectors, and the eigh workspace or the sine index array;
         # the fold's two halves hold n*n/2 doubles, not the whole basis
         return 3 * n * n * 8
     # every node's entries, and one phi_all_dense: its argument c*h*A, one
@@ -484,29 +528,15 @@ def _estimate_cache_bytes(n: int, nodes: int, kmax: int, symmetric: bool,
     return (nodes * (kmax + 1) + 2 + max(_SERIES_TERMS, 2 * (kmax + 1))) * n * n * 8
 
 
-def _tridiagonal_toeplitz(A: np.ndarray) -> tuple[float, float] | None:
-    """(a, b) if A has a on its diagonal, b on both diagonals beside it and no
-    other nonzeros; such an A is symmetric."""
-    n = A.shape[0]
-    if n < 2:
-        return None
-    diag, sup, sub = np.diagonal(A), np.diagonal(A, 1), np.diagonal(A, -1)
-    a, b = float(diag[0]), float(sup[0])
-    if not (np.all(diag == a) and np.all(sup == b) and np.all(sub == b)):
-        return None
-    band = n * (a != 0) + 2 * (n - 1) * (b != 0)
-    return (a, b) if np.count_nonzero(A) == band else None
-
-
-def _sine_eigenvalues(n: int, a: float, b: float) -> np.ndarray:
-    """Eigenvalues of tridiagonal Toeplitz (a, b), in the order of _sine_basis.
+def _sine_eigenvalues(A: TridiagonalToeplitz) -> np.ndarray:
+    """Eigenvalues of A, in the order of _sine_basis.
 
     lam_k = a + 2b cos(k pi/(n+1)) is evaluated as
     (a + 2b) - 4b sin^2(k pi/(2(n+1))), which does not cancel where |lam_k| is
     small next to |b|, as for the smooth modes of a Laplacian.
     """
-    k = np.arange(1, n + 1)
-    return (a + 2.0 * b) - 4.0 * b * np.sin(k * (np.pi / (2 * (n + 1)))) ** 2
+    k = np.arange(1, A.n + 1)
+    return (A.a + 2.0 * A.b) - 4.0 * A.b * np.sin(k * (np.pi / (2 * (A.n + 1)))) ** 2
 
 
 def _sine_basis(n: int, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
@@ -524,36 +554,26 @@ def _sine_basis(n: int, rows: slice = slice(None), cols: slice = slice(None)) ->
     return sines[jk]
 
 
-def _sine_halves(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_sine_fold's read-only Q[:m, 0::2] and Q[:p, 1::2], m = ceil(n/2), p = floor(n/2)."""
-    m = (n + 1) // 2
-    halves = _sine_basis(n, slice(m), slice(0, n, 2)), _sine_basis(n, slice(n - m), slice(1, n, 2))
-    for half in halves:
-        half.setflags(write=False)
-    return halves
-
-
 def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
     """phi_0..phi_kmax(c*h*A) for every node c, computed once per (A, h).
 
-    Exactly symmetric A goes through one eigendecomposition A = Q diag(lam) Q^T
-    and stores phi_j(c*h*lam) as a length-n table per (c, j), which is O(n)
-    per entry and more accurate for the stiff discrete Laplacians this cache
-    exists for. When A is tridiagonal Toeplitz (one constant a on the
-    diagonal, one constant b on both diagonals beside it and no other
-    nonzeros, as for the Dirichlet Laplacian), its eigenpairs are known in
-    closed form and no `eigh` runs: see _sine_eigenvalues and _sine_basis.
-    Below SINE_FOLD_MIN_N the cache keeps Q as its basis; from there it
-    keeps only the halves of Q that _sine_fold multiplies by (n*n/2 doubles);
-    from SINE_TRANSFORM_MIN_N up it keeps no Q and changes basis by the sine
-    transform. Other symmetric A keep the Q from `eigh`. General matrices
-    store one dense matrix per (c, j) from phi_all_dense, one node at a time.
+    A's type picks the kind of cache. A symmetric A = Q diag(lam) Q^T stores
+    phi_j(c*h*lam) as a length-n table per (c, j), O(n) per entry and more
+    accurate for the stiff discrete Laplacians this cache exists for, and
+    one basis object. A TridiagonalToeplitz record's eigenpairs are known in
+    closed form (_sine_eigenvalues, _sine_basis): below SINE_FOLD_MIN_N its
+    basis keeps the sine matrix Q, from there only the halves of Q that
+    _SineFold multiplies by, and from SINE_TRANSFORM_MIN_N up no Q, changing
+    basis by the sine transform. An exactly symmetric ndarray keeps the Q
+    from `eigh`. Any other ndarray stores one dense matrix per (c, j) from
+    phi_all_dense, one node at a time, and no basis.
 
     Raises ValueError, before allocating, if kmax < 0 or if the estimated
     peak memory of the build exceeds CACHE_BUDGET_BYTES; later, if an entry
     of c*h*A (general A) or of c*h*lam is not finite.
     """
-    A = _as_square_matrix(A)
+    toeplitz = isinstance(A, TridiagonalToeplitz)
+    A = A if toeplitz else _as_square_matrix(A)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     if not math.isfinite(float(h)):
@@ -565,11 +585,8 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
         raise ValueError("cache nodes must be positive")
 
     n = A.shape[0]
-    toeplitz = _tridiagonal_toeplitz(A)
-    # a tridiagonal Toeplitz A is symmetric; the O(n^2) compare runs only without one
-    symmetric = toeplitz is not None or np.array_equal(A, A.T)
-    transform = toeplitz is not None and n >= SINE_TRANSFORM_MIN_N
-    fold = toeplitz is not None and SINE_FOLD_MIN_N <= n < SINE_TRANSFORM_MIN_N
+    symmetric = toeplitz or np.array_equal(A, A.T)
+    transform = toeplitz and n >= SINE_TRANSFORM_MIN_N
     estimate = _estimate_cache_bytes(n, len(nodes), kmax, symmetric, transform)
     if estimate > CACHE_BUDGET_BYTES:
         raise ValueError(
@@ -579,15 +596,13 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
         )
 
     cache = PhiCache(kmax=kmax)
-    if transform or fold:
-        lam = _sine_eigenvalues(n, *toeplitz)
-        cache.sine_transform = transform
-        cache.sine_halves = _sine_halves(n) if fold else None
+    if toeplitz:
+        lam = _sine_eigenvalues(A)
+        cache.basis = (_SineTransform(n) if transform else _SineFold(n) if n >= SINE_FOLD_MIN_N
+                       else _MatrixBasis(_sine_basis(n)))
     elif symmetric:
-        lam, Q = (np.linalg.eigh(A) if toeplitz is None
-                  else (_sine_eigenvalues(n, *toeplitz), _sine_basis(n)))
-        Q.setflags(write=False)
-        cache.basis = Q
+        lam, Q = np.linalg.eigh(A)
+        cache.basis = _MatrixBasis(Q)
     for c in nodes:
         stack = (phi_scalar_all(kmax, float(c) * float(h) * lam) if symmetric
                  else phi_all_dense(float(c) * float(h) * A, kmax))

@@ -22,6 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .phi import TridiagonalToeplitz
+
 __all__ = [
     "SemilinearProblem",
     "discrete_l2",
@@ -34,11 +36,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SemilinearProblem:
-    """u' = A u + g(t, u) with optional exact solution on a 1D grid."""
+    """u' = A u + g(t, u) with optional exact solution on a 1D grid. A is a
+    TridiagonalToeplitz record, an n x n ndarray, or None (apply_A only)."""
 
     name: str
     n: int
-    A: Optional[np.ndarray]
+    A: TridiagonalToeplitz | np.ndarray | None
     apply_A: Callable[[np.ndarray], np.ndarray]
     g: Callable[[float, np.ndarray], np.ndarray]
     u0: np.ndarray
@@ -53,16 +56,6 @@ class SemilinearProblem:
 def discrete_l2(v: np.ndarray, dx: float) -> float:
     """sqrt(dx * sum v_k^2), the grid analogue of the L2 norm."""
     return math.sqrt(dx * float(np.dot(v, v)))
-
-
-def _dirichlet_laplacian(n: int) -> np.ndarray:
-    dx2 = (n + 1) ** 2  # 1/dx^2
-    A = np.zeros((n, n))
-    idx = np.arange(n)
-    A[idx, idx] = -2.0 * dx2
-    A[idx[:-1], idx[:-1] + 1] = dx2
-    A[idx[1:], idx[1:] - 1] = dx2
-    return A
 
 
 def heat_source(x, t):
@@ -84,11 +77,7 @@ def make_heat1d(n: int = 200) -> SemilinearProblem:
     """Semilinear heat benchmark on n interior grid points."""
     if n < 8:
         raise ValueError("heat benchmark needs at least 8 interior points")
-    A = _dirichlet_laplacian(n)
-    A.setflags(write=False)
-    # apply_A correlates with A's three-point stencil, reading 3 numbers per
-    # row where the dense A @ v reads n; the two agree to roundoff
-    stencil = np.array([1.0, -2.0, 1.0]) * float((n + 1) ** 2)
+    A = TridiagonalToeplitz(n, -2.0 * (n + 1) ** 2, float((n + 1) ** 2))
     x = np.arange(1, n + 1) / (n + 1)
     # g runs 17 times per exprk6s16 step: the shape is formed once, e^t once per call
     shape = x * (1.0 - x)
@@ -103,7 +92,7 @@ def make_heat1d(n: int = 200) -> SemilinearProblem:
     u0 = exact(0.0)
     u0.setflags(write=False)
     return SemilinearProblem(
-        name="heat1d", n=n, A=A, apply_A=lambda v: np.correlate(v, stencil, "same"),
+        name="heat1d", n=n, A=A, apply_A=A.__matmul__,
         g=g, u0=u0, dx=1.0 / (n + 1), exact=exact,
     )
 
@@ -117,8 +106,7 @@ def make_linear_decay(n: int = 128) -> SemilinearProblem:
     """
     if n < 1:
         raise ValueError(f"linear decay needs at least 1 interior point, got {n}")
-    A = _dirichlet_laplacian(n)
-    A.setflags(write=False)
+    A = TridiagonalToeplitz(n, -2.0 * (n + 1) ** 2, float((n + 1) ** 2))
     x = np.arange(1, n + 1) / (n + 1)
     u0 = np.sin(np.pi * x)
     u0.setflags(write=False)
@@ -131,7 +119,7 @@ def make_linear_decay(n: int = 128) -> SemilinearProblem:
         return math.exp(lam1 * t) * u0
 
     return SemilinearProblem(
-        name="lindecay", n=n, A=A, apply_A=lambda v: A @ v, g=g, u0=u0,
+        name="lindecay", n=n, A=A, apply_A=A.__matmul__, g=g, u0=u0,
         dx=1.0 / (n + 1), exact=exact,
     )
 

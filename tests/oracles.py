@@ -1,7 +1,8 @@
 """Independent reference computations used by the tests.
 
 Everything here deliberately avoids the library's own evaluation paths:
-phi values come from extended-precision series or closed forms, matrix
+phi values come from extended-precision series or closed forms, operator
+matrices entry by entry from their defining numbers, matrix
 exponentials from a long plain series in software arbitrary precision, dense
 phi matrices also from one scipy exponential of an augmented block matrix,
 and tree invariants from explicit enumeration of labeled representatives.
@@ -65,6 +66,12 @@ def phi_matrix_series_ref(M: np.ndarray, kmax: int, terms: int = 120,
             out.append(np.array([[float(acc[i, jj]) for jj in range(n)]
                                  for i in range(n)]))
         return out
+
+
+def dense_matrix(A) -> np.ndarray:
+    """The n x n array of a TridiagonalToeplitz record: a on the diagonal, b
+    on both diagonals beside it, zeros elsewhere."""
+    return np.diag(np.full(A.n, A.a)) + A.b * (np.eye(A.n, k=1) + np.eye(A.n, k=-1))
 
 
 def phi_augmented_ref(M: np.ndarray, kmax: int) -> list[np.ndarray]:

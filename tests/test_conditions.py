@@ -395,7 +395,7 @@ class TestSharedEvaluator:
         h, kmax = 0.25, scheme.max_phi_index
         ev = PhiAtMatrix(h * A, kmax)
         cache = build_phi_cache(A, h, scheme.nodes_used, kmax)
-        assert not cache.eigenbasis
+        assert cache.basis is None
         for poly in list(scheme.a.values()) + list(scheme.b.values()):
             got, want = ev.coeff(poly), cache.coeff(poly)
             assert got.shape == (5, 5) and got.tobytes() == want.tobytes(), poly

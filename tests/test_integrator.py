@@ -4,6 +4,7 @@ reproducibility, exactness on linear decay and the error paths."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -14,9 +15,19 @@ import pytest
 import exprk
 from exprk.cli import run_convergence
 from exprk.integrator import DivergenceError, _check_finite, integrate, precompute, step
-from exprk.phi import SINE_FOLD_MIN_N, SINE_TRANSFORM_MIN_N, _sine_basis, build_phi_cache
+from exprk.phi import (
+    SINE_FOLD_MIN_N,
+    SINE_TRANSFORM_MIN_N,
+    TridiagonalToeplitz,
+    _MatrixBasis,
+    _sine_basis,
+    _SineFold,
+    _SineTransform,
+    build_phi_cache,
+)
 from exprk.problems import SemilinearProblem, error_at, make_heat1d, make_linear_decay
 from exprk.tableaus import SCHEME_NAMES, scheme_by_name
+from oracles import dense_matrix
 
 
 def _coeff_matrix(poly, cache):
@@ -102,13 +113,12 @@ def test_sine_transform_path_matches_the_matrix_basis(monkeypatch, name, n):
     scheme = scheme_by_name(name)
     for problem in (make_heat1d(n), make_linear_decay(n)):
         cache = precompute(scheme, problem.A, 0.125).cache
-        assert cache.sine_transform == transform
-        assert (cache.sine_halves is None) == transform and cache.basis is None
+        assert type(cache.basis) is (_SineTransform if transform else _SineFold)
         got = integrate(scheme, problem, 0.0, 1.0, 0.125).state
         with monkeypatch.context() as patch:
             patch.setattr(phimod, "SINE_TRANSFORM_MIN_N", n + 1)
             patch.setattr(phimod, "SINE_FOLD_MIN_N", n + 1)
-            assert precompute(scheme, problem.A, 0.125).cache.basis is not None
+            assert type(precompute(scheme, problem.A, 0.125).cache.basis) is _MatrixBasis
             want = integrate(scheme, problem, 0.0, 1.0, 0.125).state
         assert _relative_gap(got, want) <= 1e-11
         if problem.name == "lindecay":
@@ -121,12 +131,25 @@ def test_below_the_constant_keeps_the_closed_form_matrix(monkeypatch):
     n = SINE_FOLD_MIN_N - 1
     scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(n)
     cache = precompute(scheme, problem.A, 0.125).cache
-    assert not cache.sine_transform and cache.sine_halves is None
-    assert np.array_equal(cache.basis, _sine_basis(n))
+    assert type(cache.basis) is _MatrixBasis
+    assert np.array_equal(cache.basis.matrix, _sine_basis(n))
     got = integrate(scheme, problem, 0.0, 1.0, 0.125).state
     monkeypatch.setattr(phimod, "SINE_FOLD_MIN_N", 10**9)
     monkeypatch.setattr(phimod, "SINE_TRANSFORM_MIN_N", 10**9)
     assert got.tobytes() == integrate(scheme, problem, 0.0, 1.0, 0.125).state.tobytes()
+
+
+def test_heat1d_allocates_no_n_by_n_array():
+    # heat1d declares its A as a record, so neither the problem nor the cache
+    # holds n x n doubles: the whole run peaks below an eighth of one such array
+    n = 4096
+    tracemalloc.start()
+    try:
+        integrate(scheme_by_name("exprk6s16"), make_heat1d(n), 0.0, 1.0, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 8
 
 
 @pytest.mark.parametrize("n, loaded", [(64, False), (400, False), (SINE_TRANSFORM_MIN_N, True)])
@@ -318,9 +341,9 @@ def test_step_writes_neither_u_nor_what_g_returns(monkeypatch, path, name):
         ctx = precompute(scheme, problem.apply_A, 0.25, krylov=True)
     else:
         ctx = precompute(scheme, problem.A, 0.25)
-        assert ctx.cache.sine_transform == (path == "sine transform")
-        assert (ctx.cache.sine_halves is not None) == (path == "sine fold")
-        assert ctx.cache.eigenbasis == (path != "general")
+        kinds = {"eigenbasis": _MatrixBasis, "sine fold": _SineFold,
+                 "sine transform": _SineTransform, "general": type(None)}
+        assert type(ctx.cache.basis) is kinds[path]
     u_next = step(ctx, problem, 0.0, u)
     assert np.array_equal(u, np.linspace(-1.0, 1.0, problem.n))
     assert np.array_equal(cached, kept)
@@ -350,16 +373,21 @@ def test_rejects_context_built_for_another_operator_size(krylov):
 
 
 def test_rejects_context_built_for_another_matrix():
-    scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(32)
-    ctx = precompute(scheme, 2 * problem.A, 0.125)
-    with pytest.raises(ValueError, match="another matrix than problem.A"):
-        integrate(scheme, problem, 0.0, 1.0, 0.125, ctx=ctx)
+    # records and dense matrices, against each other and themselves
+    scheme, heat, nonsym = scheme_by_name("exprk6s16"), make_heat1d(32), _nonsymmetric_problem()
+    A = heat.A
+    for problem, other in ((heat, TridiagonalToeplitz(A.n, 2 * A.a, 2 * A.b)),
+                           (heat, 2 * dense_matrix(A)), (nonsym, 2 * nonsym.A),
+                           (nonsym, TridiagonalToeplitz(nonsym.n, -6.0, 1.0))):
+        ctx = precompute(scheme, other, 0.125)
+        with pytest.raises(ValueError, match="another matrix than problem.A"):
+            integrate(scheme, problem, 0.0, 1.0, 0.125, ctx=ctx)
 
 
 @pytest.mark.parametrize("operator", ["matrix", "callable"])
 def test_rejects_matrix_free_context_built_for_another_operator(operator):
     scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(32)
-    A = 2 * problem.A
+    A = TridiagonalToeplitz(32, 2 * problem.A.a, 2 * problem.A.b)
     built_from = A if operator == "matrix" else (lambda v: A @ v)
     ctx = precompute(scheme, built_from, 0.125, krylov=True)
     with pytest.raises(ValueError, match="another matrix|another operator action"):
@@ -375,12 +403,14 @@ def test_accepts_matrix_free_context_built_from_the_problems_apply_A():
 
 
 def test_accepts_context_built_for_an_equal_matrix():
+    # an equal record, and an equal dense matrix, each a separate object
     scheme = scheme_by_name("exprk6s16")
-    ctx = precompute(scheme, make_heat1d(32).A, 0.125)
-    problem = make_heat1d(32)
-    assert problem.A is not ctx.A
-    reused = integrate(scheme, problem, 0.0, 1.0, 0.125, ctx=ctx).state
-    assert np.array_equal(reused, integrate(scheme, problem, 0.0, 1.0, 0.125).state)
+    for make in (lambda: make_heat1d(32), _nonsymmetric_problem):
+        ctx = precompute(scheme, make().A, 0.125)
+        problem = make()
+        assert problem.A is not ctx.A
+        reused = integrate(scheme, problem, 0.0, 1.0, 0.125, ctx=ctx).state
+        assert np.array_equal(reused, integrate(scheme, problem, 0.0, 1.0, 0.125).state)
 
 
 def test_krylov_path_matches_dense_path():

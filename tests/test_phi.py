@@ -15,6 +15,10 @@ from exprk.phi import (
     SERIES_RADIUS,
     SINE_FOLD_MIN_N,
     SINE_TRANSFORM_MIN_N,
+    TridiagonalToeplitz,
+    _MatrixBasis,
+    _SineFold,
+    _SineTransform,
     arnoldi,
     build_phi_cache,
     phi_all_dense,
@@ -24,6 +28,7 @@ from exprk.phi import (
     phi_scalar_all,
 )
 from oracles import (
+    dense_matrix,
     expm_ref,
     phi_augmented_ref,
     phi_matrix_series_ref,
@@ -216,7 +221,7 @@ class TestPhiComboApply:
             h, p = 0.9, 3
         else:
             # stiff: ||hM||_1 = 2.1e3
-            M, h, p = make_heat1d(64).A, 1 / 8, 4
+            M, h, p = dense_matrix(make_heat1d(64).A), 1 / 8, 4
         V = [rng.standard_normal(len(M)) for _ in range(p + 1)]
         phis = phi_augmented_ref(h * M, p)
         want = sum(h**j * (phis[j] @ V[j]) for j in range(p + 1))
@@ -444,7 +449,7 @@ class TestPhiCache:
         A = rng.standard_normal((6, 6))
         A = A + A.T
         cache = build_phi_cache(A, 0.3, [Fraction(1, 2), Fraction(1)], 3)
-        Q = cache.basis
+        Q = cache.basis.matrix
         assert np.allclose(Q.T @ Q, np.eye(6), atol=1e-14)
         assert len(cache.entries) == 8
         for table in cache.entries.values():
@@ -489,7 +494,7 @@ class TestPhiCache:
         # -inf on the diagonal is still tridiagonal Toeplitz, so the tables
         # see eigenvalues -inf; they used to come out as phi values of zero
         with pytest.raises(ValueError, match="must be finite"):
-            build_phi_cache(_tridiagonal(n, -math.inf, 1.0), 0.1, [Fraction(1)], 3)
+            build_phi_cache(TridiagonalToeplitz(n, -math.inf, 1.0), 0.1, [Fraction(1)], 3)
 
 
 def _tridiagonal(n, a, b):
@@ -509,8 +514,18 @@ def _phi_all_dense_gap(cache, A, h, c, kmax):
                for j in range(kmax + 1))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_tridiagonal_toeplitz_product_is_the_dense_product(n):
+    # n = 1 and 2 are shorter than the stencil
+    A = TridiagonalToeplitz(n, -3.0, 1.5)
+    v = np.random.default_rng(36).standard_normal(n)
+    assert A.shape == (n, n)
+    assert np.allclose(A @ v, dense_matrix(A) @ v, rtol=0, atol=1e-14 * np.abs(v).max())
+
+
 class TestClosedFormBasis:
-    """Tridiagonal Toeplitz A takes the sine eigenbasis; anything else takes eigh."""
+    """A TridiagonalToeplitz record takes the sine eigenvectors; a symmetric
+    ndarray takes eigh."""
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
@@ -525,11 +540,12 @@ class TestClosedFormBasis:
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_heat1d_eigenpairs_match_eigh(self, n):
-        from exprk.phi import _sine_basis, _sine_eigenvalues, _tridiagonal_toeplitz
+        from exprk.phi import _sine_basis, _sine_eigenvalues
         from exprk.problems import make_heat1d
 
-        A = make_heat1d(n).A
-        lam, Q = _sine_eigenvalues(n, *_tridiagonal_toeplitz(A)), _sine_basis(n)
+        record = make_heat1d(n).A
+        lam, Q = _sine_eigenvalues(record), _sine_basis(n)
+        A = dense_matrix(record)
         norm = np.linalg.norm(A, 2)
         assert np.max(np.abs(np.sort(lam) - np.linalg.eigvalsh(A))) <= 1e-12 * norm
         assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-14
@@ -538,11 +554,11 @@ class TestClosedFormBasis:
     @pytest.mark.parametrize("a, b", [(-2.0, 1.0), (-3.0, 1.0), (0.5, -0.25), (0.0, 0.0)])
     def test_toeplitz_builds_take_the_closed_form(self, eigh_calls, a, b):
         n, h = 16, 0.1
-        A = _tridiagonal(n, a, b)
+        A = TridiagonalToeplitz(n, a, b)
         cache = build_phi_cache(A, h, [Fraction(1, 3), Fraction(1)], 3)
-        assert eigh_calls == []
+        assert eigh_calls == [] and type(cache.basis) is _MatrixBasis
         for c in (Fraction(1, 3), Fraction(1)):
-            assert _phi_all_dense_gap(cache, A, h, c, 3) <= 1e-12
+            assert _phi_all_dense_gap(cache, dense_matrix(A), h, c, 3) <= 1e-12
 
     def test_near_misses_take_eigh(self, eigh_calls):
         n, h = 16, 0.1
@@ -561,31 +577,31 @@ class TestClosedFormBasis:
         A = _tridiagonal(n, -3.0, 1.0)
         A += 0.5 * np.eye(n, k=-1)  # 1 above the diagonal, 1.5 below
         cache = build_phi_cache(A, h, nodes, 3)
-        assert not cache.eigenbasis and eigh_calls == []
+        assert cache.basis is None and eigh_calls == []
         for c in nodes:
             for j, ref in enumerate(phi_all_dense(float(c) * h * A, 3)):
                 assert np.array_equal(cache.get(c, j), ref)
 
 
 class TestSineTransformPath:
-    """From SINE_TRANSFORM_MIN_N up, tridiagonal Toeplitz A stores no basis and
-    changes basis by DST-I."""
+    """From SINE_TRANSFORM_MIN_N up, a TridiagonalToeplitz A stores no basis
+    matrix and changes basis by DST-I."""
 
     N = SINE_TRANSFORM_MIN_N + 8
 
     def _cache(self, n=N):
-        return build_phi_cache(_tridiagonal(n, -2.0, 1.0), 0.1, [Fraction(1, 3), Fraction(1)], 3)
+        A = TridiagonalToeplitz(n, -2.0, 1.0)
+        return build_phi_cache(A, 0.1, [Fraction(1, 3), Fraction(1)], 3)
 
     def test_stores_tables_and_no_basis(self, monkeypatch):
         import exprk.phi as phimod
 
         cache = self._cache()
-        assert cache.sine_transform and cache.eigenbasis and cache.basis is None
-        assert cache.sine_halves is None
+        assert type(cache.basis) is _SineTransform
         assert all(table.shape == (self.N,) for table in cache.entries.values())
         monkeypatch.setattr(phimod, "SINE_FOLD_MIN_N", SINE_TRANSFORM_MIN_N)
         below = self._cache(SINE_TRANSFORM_MIN_N - 1)
-        assert not below.sine_transform and below.basis is not None
+        assert type(below.basis) is _MatrixBasis
 
     @pytest.mark.parametrize("shape", [(N,), (5, N)], ids=["vector", "block"])
     def test_round_trip_and_agreement_with_the_sine_matrix(self, shape):
@@ -601,11 +617,11 @@ class TestSineTransformPath:
 
     def test_get_matches_phi_all_dense(self):
         n, h = SINE_TRANSFORM_MIN_N + 1, 0.1
-        A = _tridiagonal(n, -2.0, 1.0)
+        A = TridiagonalToeplitz(n, -2.0, 1.0)
         cache = build_phi_cache(A, h, [Fraction(1, 3), Fraction(1)], 1)
-        assert cache.sine_transform
+        assert type(cache.basis) is _SineTransform
         for c in (Fraction(1, 3), Fraction(1)):
-            assert _phi_all_dense_gap(cache, A, h, c, 1) <= 1e-12
+            assert _phi_all_dense_gap(cache, dense_matrix(A), h, c, 1) <= 1e-12
         with pytest.raises(ValueError):
             cache.get(Fraction(1), 0)[0, 0] = 99.0
 
@@ -614,20 +630,21 @@ class TestSineTransformPath:
 
         n, nodes = self.N, [Fraction(1, 2), Fraction(1)]
         monkeypatch.setattr(phimod, "CACHE_BUDGET_BYTES", 3 * n * n * 8 - 1)
-        assert build_phi_cache(_tridiagonal(n, -2.0, 1.0), 0.1, nodes, 5).sine_transform
+        cache = build_phi_cache(TridiagonalToeplitz(n, -2.0, 1.0), 0.1, nodes, 5)
+        assert type(cache.basis) is _SineTransform
         with pytest.raises(ValueError, match=rf"n={n} with 12 entries"):
             build_phi_cache(np.diag(np.arange(1.0, n + 1)), 0.1, nodes, 5)
 
 
 class TestSineFoldPath:
-    """From SINE_FOLD_MIN_N to below SINE_TRANSFORM_MIN_N, tridiagonal Toeplitz
+    """From SINE_FOLD_MIN_N to below SINE_TRANSFORM_MIN_N, a TridiagonalToeplitz
     A keeps two halves of the sine matrix and changes basis by folding."""
 
     SIZES = [SINE_FOLD_MIN_N, SINE_FOLD_MIN_N + 1, SINE_TRANSFORM_MIN_N - 1]
     NODES = [Fraction(1, 3), Fraction(1)]
 
     def _cache(self, n):
-        return build_phi_cache(_tridiagonal(n, -2.0, 1.0), 0.1, self.NODES, 1)
+        return build_phi_cache(TridiagonalToeplitz(n, -2.0, 1.0), 0.1, self.NODES, 1)
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("rows", [None, 5], ids=["vector", "block"])
@@ -635,8 +652,7 @@ class TestSineFoldPath:
         from exprk.phi import _sine_basis
 
         cache = self._cache(n)
-        assert cache.sine_halves is not None and cache.basis is None
-        assert cache.eigenbasis and not cache.sine_transform
+        assert type(cache.basis) is _SineFold
         v = np.random.default_rng(29).standard_normal(n if rows is None else (rows, n))
         v.setflags(write=False)
         kept = v.copy()
@@ -653,10 +669,10 @@ class TestSineFoldPath:
     def test_halves_are_read_only_columns_of_the_sine_matrix(self, n):
         from exprk.phi import _sine_basis
 
-        A = _tridiagonal(n, -2.0, 1.0)
+        A = TridiagonalToeplitz(n, -2.0, 1.0)
         tracemalloc.start()
         try:
-            Qo, Qe = build_phi_cache(A, 0.1, self.NODES, 1).sine_halves
+            Qo, Qe = build_phi_cache(A, 0.1, self.NODES, 1).basis.halves
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -676,7 +692,7 @@ class TestSineFoldPath:
         cache = self._cache(n)
         monkeypatch.setattr(phimod, "SINE_FOLD_MIN_N", n + 1)
         plain = self._cache(n)
-        assert plain.basis is not None
+        assert type(plain.basis) is _MatrixBasis
         for c in self.NODES:
             for j in (0, 1):
                 assert np.max(np.abs(cache.get(c, j) - plain.get(c, j))) <= 1e-14

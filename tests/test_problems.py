@@ -12,12 +12,13 @@ from exprk.problems import (
     make_linear_decay,
     problem_by_name,
 )
+from oracles import dense_matrix
 
 
 class TestHeat1d:
     def test_operator_norm_at_default_size(self):
         p = make_heat1d(200)
-        assert np.linalg.norm(p.A, np.inf) == 4 * 201**2 == 161604
+        assert np.linalg.norm(dense_matrix(p.A), np.inf) == 4 * 201**2 == 161604
 
     def test_source_at_midpoint_start(self):
         # frozen: 1/4 + 2 - 1/(1 + 1/16) = 2.25 - 16/17
@@ -51,13 +52,15 @@ class TestHeat1d:
             assert np.allclose(p.g(t, u), want, rtol=1e-14, atol=0)
 
     def test_operator_action_is_the_matrix_product(self):
-        # apply_A applies A's stencil, so it matches A @ v to roundoff; the
-        # columns of V are strided views, as the Krylov path passes them
+        # apply_A applies A's stencil, so it matches the dense product to
+        # roundoff; the columns of V are strided views, as the Krylov path
+        # passes them
         p = make_heat1d(64)
+        A = dense_matrix(p.A)
         V = np.random.default_rng(34).normal(size=(64, 3))
         for v in V.T:
-            scale = np.linalg.norm(p.A, np.inf) * np.abs(v).max()
-            assert np.allclose(p.apply_A(v), p.A @ v, rtol=0, atol=1e-15 * scale)
+            scale = np.linalg.norm(A, np.inf) * np.abs(v).max()
+            assert np.allclose(p.apply_A(v), A @ v, rtol=0, atol=1e-15 * scale)
 
     def test_exact_peak_at_final_time(self):
         # n odd puts x = 1/2 on the grid
