@@ -13,13 +13,18 @@ Scalar phi values, dense phi matrices and the dense action all come from
 one double-precision kernel, scaling and modified squaring (Skaflestad &
 Wright 2009). The matrix-free path runs Arnoldi on an augmented operator and
 falls back to the dense action if the subspace saturates.
+
+A tridiagonal Toeplitz operator (TridiagonalToeplitz) has the sine matrix as
+its eigenbasis, and from SINE_TRANSFORM_MIN_N up its changes of basis are a
+DST-I by one of two routes: scipy.fft.dst, or, where n+1 has a prime factor
+of at least SINE_FFT_MIN_PRIME, one complex FFT of length n+1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +35,7 @@ __all__ = [
     "CACHE_BUDGET_BYTES",
     "SINE_FOLD_MIN_N",
     "SINE_TRANSFORM_MIN_N",
+    "SINE_FFT_MIN_PRIME",
     "phi_scalar",
     "phi_scalar_all",
     "phi_all_dense",
@@ -128,6 +134,9 @@ def phi_scalar_all(kmax: int, z: np.ndarray) -> np.ndarray:
 
 
 def _as_square_matrix(M) -> np.ndarray:
+    if isinstance(M, TridiagonalToeplitz):
+        raise ValueError("expected a dense matrix, got a TridiagonalToeplitz record; "
+                         "pass its dense n x n ndarray instead")
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
@@ -353,6 +362,12 @@ CACHE_BUDGET_BYTES = 4 * 2**30
 #   n=600: 2769 vs 2104 us   n=1008: 8411 vs 3685 us  n=1600: 20187 vs 5996 us
 # Each n+1 there is prime, DST-I's slowest case; at n=404 (n+1 = 405) the
 # transform takes 330 us against 729 us.
+# The same steps, sine fold / scipy DST / complex FFT (SINE_FFT_MIN_PRIME):
+#   n=520:   698 / 1733 / 1168 us   n=600:  992 / 2184 / 1429 us
+#   n=700:  1541 / 2086 / 1388 us   n=1008: 3955 / 3643 / 2068 us
+#   n=1600: 10133 / 6145 / 3483 us
+# Both constants were set at prime n+1. At smooth n+1 scipy's DST beats the
+# fold: n=511 (n+1 = 2^9) 382 vs 654 us, n=539 (n+1 = 540) 438 vs 672 us.
 SINE_TRANSFORM_MIN_N = 512
 # From this n up, and below SINE_TRANSFORM_MIN_N, a TridiagonalToeplitz A
 # changes basis by _SineFold: half the multiply-adds, five more numpy calls.
@@ -361,6 +376,40 @@ SINE_TRANSFORM_MIN_N = 512
 #   n=300: 237 vs 180 us   n=400: 447 vs 284 us   n=510: 1375 vs 610 us
 # Whole solves, fold over matrix time: 1.20 at n=200, 0.98-1.03 at n=256.
 SINE_FOLD_MIN_N = 256
+# From this largest prime factor of n+1 up, _SineTransform forms the DST-I
+# from one complex FFT of length n+1 instead of scipy.fft.dst, whose real FFT
+# of length 2(n+1) costs as much as a complex one there (Bluestein 1970).
+# Per exprk6s16 step as above, scipy DST against the complex FFT:
+#   n=520 (521):       1733 vs 1168 us   n=1600 (1601):      6145 vs 3483 us
+#   n=4000 (4001):    20923 vs 9891 us   n=596 (3*199):      1713 vs 1237 us
+#   n=542 (3*181):     1472 vs 1271 us   n=904 (5*181):      2090 vs 1991 us
+#   n=800 (9*89):      1125 vs 1339 us   n=4400 (9*163):     8047 vs 8430 us
+#   n=19999 (2^5 5^4): 12656 vs 16172 us  n=20000 (3*59*113): 36287 vs 40805 us
+#   n=40000 (13*17*181): 83896 vs 88800 us
+# The crossover lies between 181 (a win at n=542, a loss at n=40000) and 199.
+SINE_FFT_MIN_PRIME = 200
+
+
+def _largest_prime_factor(m: int) -> int:
+    """Largest prime factor of m >= 2, by trial division."""
+    largest, p = 1, 2
+    while p * p <= m:
+        while m % p == 0:
+            m, largest = m // p, p
+        p += 1
+    return max(largest, m)
+
+
+@lru_cache(maxsize=4)
+def _sine_fft_weights(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The complex-FFT route's read-only weights for n (_SineTransform). Kept
+    for the last few n, so a set-up repeated at one n forms them once."""
+    theta = np.arange(1, n + 1) * (np.pi / (n + 1))
+    sin, c = np.sin(theta), math.sqrt(2.0 / (n + 1)) / 2
+    weights = (c * np.cos(theta), c * (sin - 1.0), c * (sin + 1.0))
+    for w in weights:
+        w.setflags(write=False)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -407,20 +456,49 @@ class _MatrixBasis:
 
 class _SineTransform:
     """The sine matrix Q of _sine_basis, its own inverse, never kept: each
-    change of basis is a DST-I. scipy.fft is imported in to_basis, and so only
-    by processes that take this kind: it adds about 4.6 MB to a process."""
+    change of basis is a DST-I, by one of two routes chosen here from n+1.
+
+    Where n+1 has a prime factor of at least SINE_FFT_MIN_PRIME, a real FFT
+    of length 2(n+1) costs as much as a complex one, so the DST-I is formed
+    from one complex FFT of half that length and the three read-only length-n
+    `weights` (Cooley, Lewis & Welch 1970); elsewhere it is scipy.fft.dst and
+    `weights` is None. scipy.fft is imported in to_basis, and so only by
+    processes that take this kind: it adds about 4.6 MB to a process.
+    """
 
     def __init__(self, n: int):
         self.n = n
+        self.weights = (_sine_fft_weights(n) if _largest_prime_factor(n + 1) >= SINE_FFT_MIN_PRIME
+                        else None)
 
     @property
     def matrix(self) -> np.ndarray:
         return _sine_basis(self.n)
 
     def to_basis(self, v: np.ndarray) -> np.ndarray:
+        """v @ Q, each row. With N = n+1 and x = [0, v, 0 ... 0] of length 2N,
+        the DST-I is -sqrt(2/N) Im(rfft(x))[1:N]. The FFT Z of length N of
+        x viewed as complex gives it, with theta_k = k pi/N, as
+        c [cos theta_k (Re Z_k - Re Z_{N-k}) + (sin theta_k - 1) Im Z_k
+           + (sin theta_k + 1) Im Z_{N-k}],  c = sqrt(2/N)/2,
+        with no recurrence between the k."""
         import scipy.fft
 
-        return scipy.fft.dst(v, type=1, norm="ortho", axis=-1)
+        if self.weights is None:
+            return scipy.fft.dst(v, type=1, norm="ortho", axis=-1)
+        n = self.n
+        x = np.zeros(v.shape[:-1] + (2 * (n + 1),))
+        x[..., 1 : n + 1] = v
+        Z = scipy.fft.fft(x.view(complex), axis=-1, overwrite_x=True)
+        Zk, Zr = Z[..., 1:], Z[..., :0:-1]  # Z_k and Z_{N-k}, k = 1..n
+        cos, sin_minus, sin_plus = self.weights
+        out = np.subtract(Zk.real, Zr.real)
+        out *= cos
+        term = np.multiply(Zk.imag, sin_minus)
+        out += term
+        np.multiply(Zr.imag, sin_plus, out=term)
+        out += term
+        return out
 
     def from_basis(self, v: np.ndarray) -> np.ndarray:
         return self.to_basis(v)
@@ -431,7 +509,7 @@ class _SineFold(_SineTransform):
     Q[:p, 1::2], m = ceil(n/2) and p = floor(n/2): n*n/2 doubles."""
 
     def __init__(self, n: int):
-        super().__init__(n)
+        self.n = n
         m = (n + 1) // 2
         self.halves = (_sine_basis(n, slice(m), slice(0, n, 2)),
                        _sine_basis(n, slice(n - m), slice(1, n, 2)))

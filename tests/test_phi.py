@@ -181,6 +181,12 @@ class TestPhiAllDense:
             gap = np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
             assert gap <= 1e-11
 
+    def test_refuses_a_tridiagonal_toeplitz_record(self):
+        from exprk.problems import make_heat1d
+
+        with pytest.raises(ValueError, match="TridiagonalToeplitz.*dense"):
+            phi_all_dense(make_heat1d(16).A, 1)
+
     def test_against_spectral_oracle(self):
         rng = np.random.default_rng(5)
         for trial in range(3):
@@ -231,6 +237,12 @@ class TestPhiComboApply:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             phi_combo_apply(np.zeros((3, 3)), 1.0, [np.zeros(3), np.zeros(4)])
+
+    def test_refuses_a_tridiagonal_toeplitz_record(self):
+        from exprk.problems import make_heat1d
+
+        with pytest.raises(ValueError, match="TridiagonalToeplitz.*dense"):
+            phi_combo_apply(make_heat1d(16).A, 0.1, [np.ones(16)])
 
 
 class TestArnoldi:
@@ -634,6 +646,44 @@ class TestSineTransformPath:
         assert type(cache.basis) is _SineTransform
         with pytest.raises(ValueError, match=rf"n={n} with 12 entries"):
             build_phi_cache(np.diag(np.arange(1.0, n + 1)), 0.1, nodes, 5)
+
+
+class TestSineTransformRoutes:
+    """A _SineTransform forms its DST-I by one complex FFT of length n+1 where
+    n+1 has a prime factor of at least SINE_FFT_MIN_PRIME, else by scipy's DST."""
+
+    @pytest.mark.parametrize("n, fft", [(520, True), (539, False), (800, False), (1600, True),
+                                        (4000, True), (19999, False), (20000, False)])
+    def test_route_follows_the_largest_prime_factor_of_n_plus_1(self, n, fft):
+        basis = _SineTransform(n)
+        assert (basis.weights is not None) is fft
+        if fft:
+            assert [w.shape for w in basis.weights] == [(n,)] * 3
+            for w in basis.weights:
+                with pytest.raises(ValueError):
+                    w[0] = 99.0
+
+    @pytest.mark.parametrize("fft", [True, False], ids=["complex-fft", "scipy-dst"])
+    @pytest.mark.parametrize("n", [520, 539], ids=["even", "odd"])
+    @pytest.mark.parametrize("rows", [None, 5], ids=["vector", "block"])
+    def test_each_route_matches_the_sine_matrix_and_undoes_itself(self, monkeypatch, fft, n,
+                                                                   rows):
+        import exprk.phi as phimod
+        from exprk.phi import _sine_basis
+
+        monkeypatch.setattr(phimod, "SINE_FFT_MIN_PRIME", 2 if fft else n + 2)
+        basis = _SineTransform(n)
+        assert (basis.weights is not None) is fft
+        v = np.random.default_rng(37).standard_normal(n if rows is None else (rows, n))
+        v.setflags(write=False)
+        kept = v.copy()
+        want = v @ _sine_basis(n)
+        for change in (basis.to_basis, basis.from_basis):
+            coords = change(v)
+            assert coords.shape == v.shape and not np.shares_memory(coords, v)
+            assert np.linalg.norm(coords - want) <= 1e-14 * np.linalg.norm(want)
+            assert np.linalg.norm(change(coords) - v) <= 1e-15 * np.linalg.norm(v)
+        assert np.array_equal(v, kept)
 
 
 class TestSineFoldPath:
