@@ -22,9 +22,8 @@ per group and one for the update. The cache's basis object makes them:
 products with the eigenvector matrix Q, or for a phi.TridiagonalToeplitz A
 from phi.SINE_FOLD_MIN_N up two products with halves of the sine matrix Q,
 half the multiply-adds, and from phi.SINE_TRANSFORM_MIN_N up an
-O(n log n) sine transform that stores no Q: scipy's DST-I, or one complex
-FFT of length n+1 where n+1 has a prime factor of at least
-phi.SINE_FFT_MIN_PRIME.
+O(n log n) sine transform that stores no Q: a DST-I formed from one
+complex FFT of length n+1.
 For general A the cache holds dense phi matrices and no basis; precompute
 folds each coefficient into one n x n matrix, and a group's increments are
 one matrix-vector product of its folded matrices, laid side by side, with

@@ -16,8 +16,7 @@ falls back to the dense action if the subspace saturates.
 
 A tridiagonal Toeplitz operator (TridiagonalToeplitz) has the sine matrix as
 its eigenbasis, and from SINE_TRANSFORM_MIN_N up its changes of basis are a
-DST-I by one of two routes: scipy.fft.dst, or, where n+1 has a prime factor
-of at least SINE_FFT_MIN_PRIME, one complex FFT of length n+1.
+DST-I formed from one complex FFT of length n+1.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "CACHE_BUDGET_BYTES",
     "SINE_FOLD_MIN_N",
     "SINE_TRANSFORM_MIN_N",
-    "SINE_FFT_MIN_PRIME",
     "phi_scalar",
     "phi_scalar_all",
     "phi_all_dense",
@@ -362,12 +360,12 @@ CACHE_BUDGET_BYTES = 4 * 2**30
 #   n=600: 2769 vs 2104 us   n=1008: 8411 vs 3685 us  n=1600: 20187 vs 5996 us
 # Each n+1 there is prime, DST-I's slowest case; at n=404 (n+1 = 405) the
 # transform takes 330 us against 729 us.
-# The same steps, sine fold / scipy DST / complex FFT (SINE_FFT_MIN_PRIME):
+# The same steps, sine fold / scipy.fft.dst / complex FFT (_SineTransform):
 #   n=520:   698 / 1733 / 1168 us   n=600:  992 / 2184 / 1429 us
 #   n=700:  1541 / 2086 / 1388 us   n=1008: 3955 / 3643 / 2068 us
 #   n=1600: 10133 / 6145 / 3483 us
-# Both constants were set at prime n+1. At smooth n+1 scipy's DST beats the
-# fold: n=511 (n+1 = 2^9) 382 vs 654 us, n=539 (n+1 = 540) 438 vs 672 us.
+# Both constants were set at prime n+1. At smooth n+1 the transform beats
+# the fold: n=511 (n+1 = 2^9) 584 / 347 / 478 us, n=539 (540) 660 / 391 / 508 us.
 SINE_TRANSFORM_MIN_N = 512
 # From this n up, and below SINE_TRANSFORM_MIN_N, a TridiagonalToeplitz A
 # changes basis by _SineFold: half the multiply-adds, five more numpy calls.
@@ -376,34 +374,12 @@ SINE_TRANSFORM_MIN_N = 512
 #   n=300: 237 vs 180 us   n=400: 447 vs 284 us   n=510: 1375 vs 610 us
 # Whole solves, fold over matrix time: 1.20 at n=200, 0.98-1.03 at n=256.
 SINE_FOLD_MIN_N = 256
-# From this largest prime factor of n+1 up, _SineTransform forms the DST-I
-# from one complex FFT of length n+1 instead of scipy.fft.dst, whose real FFT
-# of length 2(n+1) costs as much as a complex one there (Bluestein 1970).
-# Per exprk6s16 step as above, scipy DST against the complex FFT:
-#   n=520 (521):       1733 vs 1168 us   n=1600 (1601):      6145 vs 3483 us
-#   n=4000 (4001):    20923 vs 9891 us   n=596 (3*199):      1713 vs 1237 us
-#   n=542 (3*181):     1472 vs 1271 us   n=904 (5*181):      2090 vs 1991 us
-#   n=800 (9*89):      1125 vs 1339 us   n=4400 (9*163):     8047 vs 8430 us
-#   n=19999 (2^5 5^4): 12656 vs 16172 us  n=20000 (3*59*113): 36287 vs 40805 us
-#   n=40000 (13*17*181): 83896 vs 88800 us
-# The crossover lies between 181 (a win at n=542, a loss at n=40000) and 199.
-SINE_FFT_MIN_PRIME = 200
-
-
-def _largest_prime_factor(m: int) -> int:
-    """Largest prime factor of m >= 2, by trial division."""
-    largest, p = 1, 2
-    while p * p <= m:
-        while m % p == 0:
-            m, largest = m // p, p
-        p += 1
-    return max(largest, m)
 
 
 @lru_cache(maxsize=4)
 def _sine_fft_weights(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The complex-FFT route's read-only weights for n (_SineTransform). Kept
-    for the last few n, so a set-up repeated at one n forms them once."""
+    """_SineTransform's three read-only length-n weights. Kept for the last
+    few n, so a set-up repeated at one n forms them once."""
     theta = np.arange(1, n + 1) * (np.pi / (n + 1))
     sin, c = np.sin(theta), math.sqrt(2.0 / (n + 1)) / 2
     weights = (c * np.cos(theta), c * (sin - 1.0), c * (sin + 1.0))
@@ -454,22 +430,27 @@ class _MatrixBasis:
         return v @ self.transpose
 
 
+# _SineTransform's complex FFT against scipy.fft.dst, whose real FFT of
+# length 2(n+1) costs as much as a complex one where n+1 has a large prime
+# factor (Bluestein 1970). Per exprk6s16 step as for SINE_TRANSFORM_MIN_N:
+#   n=520 (521):       1733 vs 1168 us   n=1600 (1601):      6145 vs 3483 us
+#   n=4000 (4001):    20923 vs 9891 us   n=596 (3*199):      1713 vs 1237 us
+#   n=542 (3*181):     1472 vs 1271 us   n=904 (5*181):      2090 vs 1991 us
+#   n=800 (9*89):      1125 vs 1339 us   n=4400 (9*163):     8047 vs 8430 us
+#   n=19999 (2^5 5^4): 12656 vs 16172 us  n=20000 (3*59*113): 36287 vs 40805 us
+#   n=40000 (13*17*181): 83896 vs 88800 us
+# It loses 8-28% where all of n+1's prime factors are small, and wins by
+# up to half where one is large.
 class _SineTransform:
     """The sine matrix Q of _sine_basis, its own inverse, never kept: each
-    change of basis is a DST-I, by one of two routes chosen here from n+1.
-
-    Where n+1 has a prime factor of at least SINE_FFT_MIN_PRIME, a real FFT
-    of length 2(n+1) costs as much as a complex one, so the DST-I is formed
-    from one complex FFT of half that length and the three read-only length-n
-    `weights` (Cooley, Lewis & Welch 1970); elsewhere it is scipy.fft.dst and
-    `weights` is None. scipy.fft is imported in to_basis, and so only by
-    processes that take this kind: it adds about 4.6 MB to a process.
-    """
+    change of basis is a DST-I formed from one complex FFT of length n+1 and
+    the three read-only length-n `weights` (Cooley, Lewis & Welch 1970).
+    scipy.fft is imported in to_basis, and so only by processes that take
+    this kind: it adds about 4.6 MB to a process."""
 
     def __init__(self, n: int):
         self.n = n
-        self.weights = (_sine_fft_weights(n) if _largest_prime_factor(n + 1) >= SINE_FFT_MIN_PRIME
-                        else None)
+        self.weights = _sine_fft_weights(n)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -484,8 +465,6 @@ class _SineTransform:
         with no recurrence between the k."""
         import scipy.fft
 
-        if self.weights is None:
-            return scipy.fft.dst(v, type=1, norm="ortho", axis=-1)
         n = self.n
         x = np.zeros(v.shape[:-1] + (2 * (n + 1),))
         x[..., 1 : n + 1] = v
@@ -504,9 +483,10 @@ class _SineTransform:
         return self.to_basis(v)
 
 
-class _SineFold(_SineTransform):
+class _SineFold:
     """The sine matrix Q kept as the read-only halves Q[:m, 0::2] and
-    Q[:p, 1::2], m = ceil(n/2) and p = floor(n/2): n*n/2 doubles."""
+    Q[:p, 1::2], m = ceil(n/2) and p = floor(n/2): n*n/2 doubles. Q is
+    symmetric and orthogonal, so to_basis also serves as from_basis."""
 
     def __init__(self, n: int):
         self.n = n
@@ -515,6 +495,10 @@ class _SineFold(_SineTransform):
                        _sine_basis(n, slice(n - m), slice(1, n, 2)))
         for half in self.halves:
             half.setflags(write=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return _sine_basis(self.n)
 
     def to_basis(self, v: np.ndarray) -> np.ndarray:
         """v @ Q, each row: row n+1-j of Q is row j with its even columns
@@ -530,6 +514,9 @@ class _SineFold(_SineTransform):
         np.matmul(s, Qo, out=out[..., 0::2])
         np.matmul(v[..., :p] - v[..., :m - 1:-1], Qe, out=out[..., 1::2])
         return out
+
+    def from_basis(self, v: np.ndarray) -> np.ndarray:
+        return self.to_basis(v)
 
 
 @dataclass
@@ -550,7 +537,7 @@ class PhiCache:
 
     kmax: int
     entries: dict = field(default_factory=dict)
-    basis: _MatrixBasis | _SineTransform | None = None
+    basis: _MatrixBasis | _SineTransform | _SineFold | None = None
 
     def entry(self, c: Fraction, j: int) -> np.ndarray:
         """The stored table (with a basis) or matrix (without) for (c, j)."""

@@ -62,10 +62,9 @@ def heat_source(x, t):
     """Source making x(1-x)e^t solve the reaction-diffusion equation.
 
     S = u_t - u_xx - 1/(1+u^2) evaluated at the target profile:
-    x(1-x)e^t + 2e^t - 1/(1 + x^2 (1-x)^2 e^(2t)), at one time t: e^t is
-    math.exp(t), as in heat1d's g, so the two agree bitwise.
+    x(1-x)e^t + 2e^t - 1/(1 + x^2 (1-x)^2 e^(2t)).
     """
-    return _source(x * (1.0 - x), math.exp(t))
+    return _source(x * (1.0 - x), np.exp(t))
 
 
 def _source(shape, et):
@@ -74,35 +73,18 @@ def _source(shape, et):
     return prof + 2.0 * et - 1.0 / (1.0 + prof**2)
 
 
-# Source rows heat1d's g keeps, one per time: an exprk6s16 step reads 6 times.
-_SOURCE_MEMO = 8
-
-
 def make_heat1d(n: int = 200) -> SemilinearProblem:
     """Semilinear heat benchmark on n interior grid points."""
     if n < 8:
         raise ValueError("heat benchmark needs at least 8 interior points")
     A = TridiagonalToeplitz(n, -2.0 * (n + 1) ** 2, float((n + 1) ** 2))
     x = np.arange(1, n + 1) / (n + 1)
-    # g runs 17 times per exprk6s16 step at 6 distinct times: the shape is
-    # formed once, and the source once per time into a row of one block that
-    # the last few times keep, the oldest time's row reused first
+    # g runs 17 times per exprk6s16 step: the shape is formed once, e^t once per call
     shape = x * (1.0 - x)
     shape.setflags(write=False)
-    block = np.empty((_SOURCE_MEMO, n))
-    rows = {}  # time -> its row of block, oldest first
 
     def g(t, u):
-        k = rows.get(t)
-        if k is None:
-            k = rows.pop(next(iter(rows))) if len(rows) == _SOURCE_MEMO else len(rows)
-            block[k] = _source(shape, math.exp(t))
-            rows[t] = k
-        out = np.square(u)
-        out += 1.0
-        np.divide(1.0, out, out=out)
-        out += block[k]
-        return out
+        return 1.0 / (1.0 + u**2) + _source(shape, math.exp(t))
 
     def exact(t):
         return shape * math.exp(t)

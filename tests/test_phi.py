@@ -648,32 +648,25 @@ class TestSineTransformPath:
             build_phi_cache(np.diag(np.arange(1.0, n + 1)), 0.1, nodes, 5)
 
 
-class TestSineTransformRoutes:
-    """A _SineTransform forms its DST-I by one complex FFT of length n+1 where
-    n+1 has a prime factor of at least SINE_FFT_MIN_PRIME, else by scipy's DST."""
+class TestSineTransformByComplexFFT:
+    """A _SineTransform forms its DST-I from one complex FFT of length n+1 and
+    three read-only weights, at prime and at smooth n+1 alike."""
 
-    @pytest.mark.parametrize("n, fft", [(520, True), (539, False), (800, False), (1600, True),
-                                        (4000, True), (19999, False), (20000, False)])
-    def test_route_follows_the_largest_prime_factor_of_n_plus_1(self, n, fft):
-        basis = _SineTransform(n)
-        assert (basis.weights is not None) is fft
-        if fft:
-            assert [w.shape for w in basis.weights] == [(n,)] * 3
-            for w in basis.weights:
-                with pytest.raises(ValueError):
-                    w[0] = 99.0
+    def test_weights_are_read_only_and_kept_per_n(self):
+        basis = _SineTransform(1600)
+        assert [w.shape for w in basis.weights] == [(1600,)] * 3
+        for w in basis.weights:
+            with pytest.raises(ValueError):
+                w[0] = 99.0
+        assert _SineTransform(1600).weights is basis.weights
 
-    @pytest.mark.parametrize("fft", [True, False], ids=["complex-fft", "scipy-dst"])
-    @pytest.mark.parametrize("n", [520, 539], ids=["even", "odd"])
+    # 521 is prime, 540 = 2^2 3^3 5 and 801 = 3^2 89
+    @pytest.mark.parametrize("n", [520, 539, 800], ids=["even-prime", "odd-smooth", "even-smooth"])
     @pytest.mark.parametrize("rows", [None, 5], ids=["vector", "block"])
-    def test_each_route_matches_the_sine_matrix_and_undoes_itself(self, monkeypatch, fft, n,
-                                                                   rows):
-        import exprk.phi as phimod
+    def test_matches_the_sine_matrix_and_undoes_itself(self, n, rows):
         from exprk.phi import _sine_basis
 
-        monkeypatch.setattr(phimod, "SINE_FFT_MIN_PRIME", 2 if fft else n + 2)
         basis = _SineTransform(n)
-        assert (basis.weights is not None) is fft
         v = np.random.default_rng(37).standard_normal(n if rows is None else (rows, n))
         v.setflags(write=False)
         kept = v.copy()
