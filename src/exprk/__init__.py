@@ -9,7 +9,6 @@ from .phi import (
     arnoldi,
     build_phi_cache,
     phi_all_dense,
-    phi_combo_apply,
     phi_combo_apply_krylov,
     phi_scalar,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "arnoldi",
     "build_phi_cache",
     "phi_all_dense",
-    "phi_combo_apply",
     "phi_combo_apply_krylov",
     "phi_scalar",
     "error_at",

@@ -23,8 +23,6 @@ from functools import cached_property
 from fractions import Fraction
 from math import factorial
 
-from .phi import phi_scalar
-
 __all__ = [
     "PhiPoly",
     "Scheme",
@@ -65,9 +63,6 @@ class PhiPoly:
     def at_zero(self) -> Fraction:
         """Exact value at z = 0, using phi_j(0) = 1/j!."""
         return sum((w / factorial(j) for j, w in self.terms), Fraction(0))
-
-    def eval_scalar(self, z: float) -> float:
-        return float(sum(float(w) * phi_scalar(j, float(self.c) * z) for j, w in self.terms))
 
 
 def block_weights(nodes: list[Fraction]) -> dict[tuple[int, int], Fraction]:

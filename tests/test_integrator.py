@@ -219,19 +219,38 @@ def _nan_after_half(problem):
     return replace(problem, g=g)
 
 
+@pytest.mark.parametrize("krylov", [False, True], ids=["dense", "krylov"])
 @pytest.mark.parametrize("name, stage, step_index", [
     # stage 2 of the step from t = 0.5 is the first g call past 0.5
     ("exprk6s16", 2, 4),
     # no stages: F itself goes non-finite in the step from t = 0.625
     ("expeuler", None, 5),
 ])
-def test_divergence_error_reports_where(name, stage, step_index):
+def test_divergence_error_reports_where(monkeypatch, name, stage, step_index, krylov):
     problem = _nan_after_half(make_heat1d(32))
+    apply_A, real_step = problem.apply_A, exprk.integrator.step
+    finite_inputs, step_starts = [], []
+
+    def counting_apply_A(v):
+        finite_inputs.append(bool(np.isfinite(v).all()))
+        return apply_A(v)
+
+    def marked_step(*args):
+        step_starts.append(len(finite_inputs))
+        return real_step(*args)
+
+    monkeypatch.setattr(exprk.integrator, "step", marked_step)
     with pytest.raises(DivergenceError) as caught:
-        integrate(scheme_by_name(name), problem, 0.0, 1.0, 0.125)
+        integrate(scheme_by_name(name), replace(problem, apply_A=counting_apply_A),
+                  0.0, 1.0, 0.125, krylov=krylov)
     err = caught.value
     assert (err.stage, err.step_index, err.t, err.h) == (stage, step_index,
                                                         step_index * 0.125, 0.125)
+    # no operator product is spent on a non-finite vector; where F itself is
+    # non-finite, the failing step's one product is the one that forms F
+    assert all(finite_inputs)
+    if stage is None:
+        assert len(finite_inputs) - step_starts[-1] == 1
 
 
 def test_rejects_step_that_does_not_divide_the_interval():

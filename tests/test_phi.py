@@ -22,7 +22,6 @@ from exprk.phi import (
     arnoldi,
     build_phi_cache,
     phi_all_dense,
-    phi_combo_apply,
     phi_combo_apply_krylov,
     phi_scalar,
     phi_scalar_all,
@@ -181,6 +180,16 @@ class TestPhiAllDense:
             gap = np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
             assert gap <= 1e-11
 
+    def test_stiff_heat1d_matches_augmented_oracle(self):
+        # heat1d at n=64 and h = 1/8, the matrix-free benchmark's argument:
+        # symmetric, with ||hA||_1 = 2.1e3
+        from exprk.problems import make_heat1d
+
+        M = dense_matrix(make_heat1d(64).A) / 8
+        for got, want in zip(phi_all_dense(M, 4), phi_augmented_ref(M, 4)):
+            gap = np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+            assert gap <= 1e-11
+
     def test_refuses_a_tridiagonal_toeplitz_record(self):
         from exprk.problems import make_heat1d
 
@@ -198,51 +207,6 @@ class TestPhiAllDense:
             ref = phi_spectral_ref(M, 6)
             for got, want in zip(mats, ref):
                 assert np.linalg.norm(got - want) <= 1e-11 * max(1.0, np.linalg.norm(want))
-
-
-class TestPhiComboApply:
-    def test_single_vector_is_exponential_action(self):
-        rng = np.random.default_rng(3)
-        M = rng.standard_normal((5, 5))
-        u = rng.standard_normal(5)
-        got = phi_combo_apply(M, 0.3, [u, np.zeros(5), np.zeros(5)])
-        assert np.allclose(got, scipy.linalg.expm(0.3 * M) @ u, rtol=1e-12, atol=1e-13)
-
-    def test_zero_operator_gives_taylor_sum(self):
-        rng = np.random.default_rng(4)
-        V = [rng.standard_normal(4) for _ in range(4)]
-        h = 0.7
-        got = phi_combo_apply(np.zeros((4, 4)), h, V)
-        want = sum(h**j * V[j] / math.factorial(j) for j in range(4))
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
-
-    @pytest.mark.parametrize("case", ["random-5", "heat1d-64"])
-    def test_against_dense_phi_sum(self, case):
-        from exprk.problems import make_heat1d
-
-        rng = np.random.default_rng(6)
-        if case == "random-5":
-            M = rng.standard_normal((5, 5))
-            M /= np.linalg.norm(M, 2)
-            h, p = 0.9, 3
-        else:
-            # stiff: ||hM||_1 = 2.1e3
-            M, h, p = dense_matrix(make_heat1d(64).A), 1 / 8, 4
-        V = [rng.standard_normal(len(M)) for _ in range(p + 1)]
-        phis = phi_augmented_ref(h * M, p)
-        want = sum(h**j * (phis[j] @ V[j]) for j in range(p + 1))
-        got = phi_combo_apply(M, h, V)
-        assert np.linalg.norm(got - want) <= 1e-11 * max(1.0, np.linalg.norm(want))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            phi_combo_apply(np.zeros((3, 3)), 1.0, [np.zeros(3), np.zeros(4)])
-
-    def test_refuses_a_tridiagonal_toeplitz_record(self):
-        from exprk.problems import make_heat1d
-
-        with pytest.raises(ValueError, match="TridiagonalToeplitz.*dense"):
-            phi_combo_apply(make_heat1d(16).A, 0.1, [np.ones(16)])
 
 
 class TestArnoldi:
@@ -317,6 +281,12 @@ def _laplacian(n):
     return ((n + 1) ** 2) * (np.diag(main) + np.diag(off, 1) + np.diag(off, -1))
 
 
+def _combo_ref(A, h, V):
+    """sum_j h^j phi_j(hA) v_j, each phi_j(hA) from the augmented oracle."""
+    phis = phi_augmented_ref(h * A, len(V) - 1)
+    return sum(h**j * (phis[j] @ v) for j, v in enumerate(V))
+
+
 class TestPhiComboApplyKrylov:
     def test_matches_dense_on_laplacian(self):
         n = 64
@@ -324,7 +294,7 @@ class TestPhiComboApplyKrylov:
         rng = np.random.default_rng(12)
         V = [rng.standard_normal(n) for _ in range(4)]
         h = 1e-3  # ||hA|| ~ 17
-        dense = phi_combo_apply(A, h, V)
+        dense = _combo_ref(A, h, V)
         kry = phi_combo_apply_krylov(lambda v: A @ v, h, V, 1e-9)
         assert np.linalg.norm(kry - dense) <= 1e-9 * max(1.0, np.linalg.norm(dense))
 
@@ -334,7 +304,7 @@ class TestPhiComboApplyKrylov:
         rng = np.random.default_rng(13)
         V = [rng.standard_normal(n) for _ in range(3)]
         h = 2e-2  # ||hA|| ~ 340; Krylov may saturate, result must stay correct
-        dense = phi_combo_apply(A, h, V)
+        dense = _combo_ref(A, h, V)
         kry = phi_combo_apply_krylov(lambda v: A @ v, h, V, 1e-9)
         assert np.linalg.norm(kry - dense) <= 1e-9 * max(1.0, np.linalg.norm(dense))
 
@@ -370,25 +340,40 @@ class TestPhiComboApplyKrylov:
         # one product per basis column, plus one: arnoldi keeps no column for
         # its next vector, so the first extension recomputes its last column
         assert len(calls) == info.m + 1
-        dense = phi_combo_apply(A, 2e-3, V)
+        dense = _combo_ref(A, 2e-3, V)
         assert np.linalg.norm(out - dense) <= 1e-9 * np.linalg.norm(dense)
 
-    def test_dense_fallback_flagged(self, monkeypatch):
-        # force non-convergence by breaking the error estimate; the result
-        # must then come from the materialized dense path and say so
+    def test_saturated_call_answers_from_the_full_space(self, monkeypatch):
+        # an estimate that never meets tol makes the basis fill the augmented
+        # space; the projection onto it is then the operator itself
         import exprk.phi as phimod
 
         monkeypatch.setattr(phimod, "_combo_error_estimate",
                             lambda beta, H, F, k: math.inf)
-        A = _laplacian(12)
+        n, h, p = 64, 1 / 8, 4  # heat1d's A at the matrix-free benchmark's setting
+        A = _laplacian(n)
         rng = np.random.default_rng(15)
-        V = [rng.standard_normal(12) for _ in range(2)]
+        V = [rng.standard_normal(n) for _ in range(p + 1)]
         out, info = phimod.phi_combo_apply_krylov(
-            lambda v: A @ v, 1e-4, V, 1e-9, return_info=True
+            lambda v: A @ v, h, V, 1e-9, return_info=True
         )
-        assert info.dense_fallback
-        dense = phi_combo_apply(A, 1e-4, V)
-        assert np.allclose(out, dense, rtol=1e-12, atol=1e-13)
+        assert info.dense_fallback and info.m == n + p
+        want = _combo_ref(A, h, V)
+        assert np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("j, bad", [(0, math.nan), (2, math.inf)])
+    def test_non_finite_input_is_nan_from_no_arnoldi_step(self, j, bad):
+        calls = []
+
+        def apply_A(v):
+            calls.append(1)
+            return v
+
+        V = [np.ones(8) for _ in range(3)]
+        V[j][3] = bad
+        out, info = phi_combo_apply_krylov(apply_A, 0.5, V, 1e-9, return_info=True)
+        assert out.shape == (8,) and np.isnan(out).all()
+        assert (info.m, info.dense_fallback, calls) == (0, False, [])
 
 
 class TestPhiCache:
