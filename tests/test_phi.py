@@ -308,6 +308,39 @@ class TestPhiComboApplyKrylov:
         kry = phi_combo_apply_krylov(lambda v: A @ v, h, V, 1e-9)
         assert np.linalg.norm(kry - dense) <= 1e-9 * max(1.0, np.linalg.norm(dense))
 
+    def test_single_vector_is_exponential_action(self):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((5, 5))
+        u = rng.standard_normal(5)
+        got = phi_combo_apply_krylov(lambda v: M @ v, 0.3, [u, np.zeros(5), np.zeros(5)], 1e-12)
+        assert np.allclose(got, scipy.linalg.expm(0.3 * M) @ u, rtol=1e-12, atol=1e-13)
+
+    def test_zero_operator_gives_taylor_sum(self):
+        # A = 0 leaves the augmented space invariant after p + 1 columns,
+        # well short of the full n + p, so the invariant exit answers
+        n, p, h = 20, 3, 0.7
+        rng = np.random.default_rng(4)
+        V = [rng.standard_normal(n) for _ in range(p + 1)]
+        got, info = phi_combo_apply_krylov(lambda v: np.zeros(n), h, V, 1e-12,
+                                           return_info=True)
+        assert info.m <= p + 1 and not info.dense_fallback
+        want = sum(h**j * V[j] / math.factorial(j) for j in range(p + 1))
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
+
+    def test_against_augmented_oracle_nonsymmetric(self):
+        # the other Krylov tests use the symmetric Laplacian; a general
+        # operator gives a full Hessenberg H
+        n, h, p = 40, 0.9, 3
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((n, n))
+        M /= np.linalg.norm(M, 2)
+        V = [rng.standard_normal(n) for _ in range(p + 1)]
+        got, info = phi_combo_apply_krylov(lambda v: M @ v, h, V, 1e-10,
+                                           return_info=True)
+        assert info.m < n + p
+        want = _combo_ref(M, h, V)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
     def test_zero_vectors_give_zero(self):
         A = _laplacian(16)
         out = phi_combo_apply_krylov(lambda v: A @ v, 0.5, [np.zeros(16)] * 3, 1e-9)
