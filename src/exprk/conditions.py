@@ -14,10 +14,14 @@ Z, checking them at a random Z of unit norm with independent random tensors
 per interior node exposes any violation (up to roundoff); residuals of
 satisfied conditions sit at ~1e-13 while violated ones are O(1e-4) or larger.
 
-Inside one residual call each tree is evaluated once per (node, stage): a
-node's map at its children's stage-j vectors is formed once and read by
-every parent stage i > j. The arithmetic and its order are the recursion's,
-so the residuals are those of the plain recursion bit for bit.
+check_scheme evaluates each condition once over all of its random models:
+Z, w and every node's map are stacked on a leading seed axis, each product
+is a matmul per seed over a trailing vector axis, and each seed's norm is
+taken over its own slice, so every seed's residual is bitwise the one it
+has alone. Inside one residual call each tree is evaluated once per (node,
+stage): a node's map at its children's stage-j vectors is formed once and
+read by every parent stage i > j. The arithmetic and its order are the
+recursion's, so the residuals are those of the plain recursion bit for bit.
 
 "strong" mode draws Z at random for every condition; "weak17" additionally
 evaluates the order-6 quadrature condition at Z = 0, which is the regime the
@@ -82,10 +86,13 @@ def condition_table(p: int) -> list[Condition]:
 class PhiAtMatrix(PhiCache):
     """The dense PhiCache of phi_j(cZ) at a fixed matrix Z (h = 1), filled on use.
 
-    One evaluator serves one random model, so everything it returns is
-    memoized and read-only:
+    Z is one n x n matrix or a stack of them, shape (S, n, n), one per
+    random model. Everything returned then carries Z's leading seed axis,
+    and each seed's slice is bitwise what an evaluator at that seed's Z
+    alone returns. One evaluator serves one model or one stack, so
+    everything it returns is memoized and read-only:
 
-      * entry(c, j): phi_all_dense runs once per node c, on first use;
+      * entry(c, j): phi_all_dense runs once per (seed, node c), on first use;
       * coeff(poly): PhiCache.coeff, formed once per polynomial
         (key: id(poly));
       * psi(q, i, scheme, self): each stage defect is formed once
@@ -109,7 +116,10 @@ class PhiAtMatrix(PhiCache):
             return self.entries[(c, j)]
         except KeyError:
             if (c, 0) not in self.entries:
-                for m, mat in enumerate(phi_all_dense(float(c) * self.Z, self.kmax)):
+                n = self.Z.shape[-1]
+                phis = np.stack([phi_all_dense(float(c) * Z, self.kmax)
+                                 for Z in self.Z.reshape(-1, n, n)], axis=1)
+                for m, mat in enumerate(phis.reshape(self.kmax + 1, *self.Z.shape)):
                     mat.setflags(write=False)
                     self.entries[(Fraction(c), m)] = mat
             return super().entry(c, j)
@@ -128,16 +138,15 @@ def psi(q: int, i: int, scheme: Scheme, ev: PhiAtMatrix) -> np.ndarray:
 
     Row i of scheme.rows: a stage defect for i <= s, and for i = s+1 (node
     1, weights b) the quadrature defect sum_k b_k(Z) c_k^(q-1)/(q-1)! -
-    phi_q(Z). Memoized on ev per (id(scheme), q, i), read-only; see
-    PhiAtMatrix.
+    phi_q(Z). Of ev's shape, one defect per seed of a stacked Z. Memoized
+    on ev per (id(scheme), q, i), read-only; see PhiAtMatrix.
     """
     key = (id(scheme), q, i)
     hit = ev._psi.get(key)
     if hit is not None and hit[0] is scheme:
         return hit[1]
     ci, row = scheme.rows[i]
-    n = ev.Z.shape[0]
-    acc = np.zeros((n, n))
+    acc = np.zeros(ev.Z.shape)
     for k, poly in row.items():
         acc += ev.coeff(poly) * (float(scheme.c[k]) ** (q - 1) / math.factorial(q - 1))
     out = acc - float(ci) ** q * ev.entry(ci, q)
@@ -192,10 +201,12 @@ class RandomModel:
 
 
 def _apply_map(tensor: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
+    """The tensor's map at columns, each broadcast over seeds and further indices."""
     out = tensor
-    for v in reversed(args):
-        out = out @ v
-    return out
+    for v in reversed(args[1:]):
+        col = v.reshape(v.shape[:-2] + (1,) * (out.ndim - v.ndim) + v.shape[-2:])
+        out = (out @ col)[..., 0]
+    return out @ args[0]
 
 
 class _StageVectors:
@@ -209,14 +220,16 @@ class _StageVectors:
     parent's mapped(j), so it is formed once as well, where the plain
     recursion formed it again for every parent stage reading stage j. The
     arithmetic and its order are the recursion's, so the values are bitwise
-    the same.
+    the same. With a stacked ev, w and maps carry its leading seed axis, and
+    so does every vector returned. Inside, vectors are (..., n, 1) columns,
+    so that every product is a plain matmul batched over the seeds.
     """
 
     def __init__(self, scheme: Scheme, ev: PhiAtMatrix, maps: dict, w: np.ndarray):
         self.scheme = scheme
         self.ev = ev
         self.maps = maps
-        self.w = w
+        self.w = w[..., None]
         self._mapped: dict[tuple, np.ndarray] = {}
         self._prefs: dict[tuple, float] = {}
 
@@ -226,8 +239,11 @@ class _StageVectors:
         White leaf: c_i * w. Quadrature subtree with l leaves: the stage
         defect of index l+1 applied to the node's map at (w, ..., w). Nested
         subtree: the symmetry prefactor times sum_j a_ij(Z) applied to the
-        node's map at its children's stage-j vectors.
+        node's map at its children's stage-j vectors. Of w's shape.
         """
+        return self._column(tree, path, i)[..., 0]
+
+    def _column(self, tree: Tree, path: tuple, i: int) -> np.ndarray:
         if tree.kind == "white":
             return float(self.scheme.c[i]) * self.w
         if tree.is_quadrature():
@@ -239,9 +255,9 @@ class _StageVectors:
         """sum_j coefficient(Z) @ mapped(tree, path, j) over row i of scheme.rows.
 
         Over a stage row the coefficients are the a_ij; over row s+1 they are
-        the b_j, and at the root that sum is the nested residual.
+        the b_j, and at the root that sum is the nested residual. A column.
         """
-        acc = np.zeros(self.ev.Z.shape[0])
+        acc = np.zeros(self.w.shape)
         for j, poly in self.scheme.rows[i][1].items():
             acc += self.ev.coeff(poly) @ self.mapped(tree, path, j)
         return acc
@@ -254,7 +270,7 @@ class _StageVectors:
             if j is None:
                 args = [self.w] * len(tree.children)
             else:
-                args = [self.vector(child, path + (idx,), j)
+                args = [self._column(child, path + (idx,), j)
                         for idx, child in enumerate(tree.children)]
             out = self._mapped[key] = _apply_map(self.maps[path], args)
         return out
@@ -267,25 +283,34 @@ class _StageVectors:
         return pref
 
 
-def residual(cond: Condition, scheme: Scheme, model: RandomModel,
+def residual(cond: Condition, scheme: Scheme, model: RandomModel | list[RandomModel],
              mode: str = "strong", ev: PhiAtMatrix | None = None,
              ev0: PhiAtMatrix | None = None) -> float:
-    """Residual norm of one condition under the model's random instance.
+    """Largest residual norm of one condition over the models' random instances.
 
-    In "weak17" mode the order-6 quadrature condition (number 17) is
-    evaluated at Z = 0 instead of the random Z. Raises ValueError, before
-    any work, for an ev whose Z is not the model's, an ev0 whose Z is not
-    the model's shape of zeros, or either with kmax below
-    max(scheme.max_phi_index, cond.order).
+    model is one RandomModel or a list of them. A list is evaluated in one
+    pass, stacked on a leading seed axis (see PhiAtMatrix): ev and ev0 are
+    then at the stacked Z and at its zeros, and the result is bitwise the
+    largest of the per-model residuals. In "weak17" mode the order-6
+    quadrature condition (number 17) is evaluated at Z = 0 instead of the
+    random Z. Raises ValueError, before any work, for an empty list, an ev
+    whose Z is not the model's, an ev0 whose Z is not the model's shape of
+    zeros, or either with kmax below max(scheme.max_phi_index, cond.order).
     """
     if mode not in ("strong", "weak17"):
         raise ValueError(f"unknown mode {mode!r}")
+    single = isinstance(model, RandomModel)
+    models = [model] if single else model
+    if not models:
+        raise ValueError("residual needs at least one model")
+    stacked = operator.itemgetter(0) if single else np.array  # one array per model
+    Z = stacked([m.Z for m in models])
     kmax = max(scheme.max_phi_index, cond.order)
     if ev is None:
-        ev = PhiAtMatrix(model.Z, kmax)
-    elif ev.Z is not model.Z and not np.array_equal(ev.Z, model.Z):
+        ev = PhiAtMatrix(Z, kmax)
+    elif ev.Z is not Z and not np.array_equal(ev.Z, Z):
         raise ValueError("ev is evaluated at a Z other than the model's")
-    if ev0 is not None and (ev0.Z.shape != model.Z.shape or np.any(ev0.Z)):
+    if ev0 is not None and (ev0.Z.shape != Z.shape or np.any(ev0.Z)):
         raise ValueError("ev0 must be evaluated at a zero matrix of the model's shape")
     for name, evaluator in (("ev", ev), ("ev0", ev0)):
         if evaluator is not None and evaluator.kmax < kmax:
@@ -298,10 +323,17 @@ def residual(cond: Condition, scheme: Scheme, model: RandomModel,
     # pass tolerance
     if cond.kind == "b":
         if mode == "weak17" and cond.order == 6:
-            ev = ev0 if ev0 is not None else PhiAtMatrix(np.zeros_like(model.Z), kmax)
-        return float(np.linalg.norm(psi(cond.order, scheme.s + 1, scheme, ev))) * math.factorial(cond.order - 1)
-    stages = _StageVectors(scheme, ev, model.maps_for(cond), model.w)
-    return float(np.linalg.norm(stages.row_sum(cond.tree, (), scheme.s + 1)))
+            ev = ev0 if ev0 is not None else PhiAtMatrix(np.zeros_like(Z), kmax)
+        x, scale = psi(cond.order, scheme.s + 1, scheme, ev), math.factorial(cond.order - 1)
+    else:
+        per_model = [m.maps_for(cond) for m in models]
+        maps = {path: stacked([mp[path] for mp in per_model]) for path in per_model[0]}
+        stages = _StageVectors(scheme, ev, maps, stacked([m.w for m in models]))
+        x, scale = stages.row_sum(cond.tree, (), scheme.s + 1), 1
+    # each seed's norm is one dot of its own entries, as np.linalg.norm takes
+    # it; sqrt is monotone, so the root of the largest square is the largest root
+    flat = x.reshape(*Z.shape[:-2], 1, -1)
+    return math.sqrt((flat @ flat.swapaxes(-1, -2)).max()) * scale
 
 
 @dataclass(frozen=True)
@@ -353,11 +385,13 @@ def check_scheme(scheme: Scheme, p: int, mode: str = "strong", seeds: int = 3,
                  base_seed=DEFAULT_SEED) -> ConditionReport:
     """Evaluate every condition of order <= p over several random models.
 
-    Reports the maximum residual per condition across the seeds; a condition
-    passes when that maximum stays within tol. Raises ValueError for p
-    outside 2..6 and, before any work, for seeds < 1 or n < 1, which would
-    check nothing, and for a tol that is not finite and >= 0, under which
-    every condition would pass or every one fail.
+    Each condition is evaluated once, by one residual call over all the
+    models stacked on a seed axis, with one evaluator at the stacked Z and
+    one at its zeros. Reports the maximum residual per condition across the
+    seeds; a condition passes when that maximum stays within tol. Raises
+    ValueError for p outside 2..6 and, before any work, for seeds < 1 or
+    n < 1, which would check nothing, and for a tol that is not finite and
+    >= 0, under which every condition would pass or every one fail.
     """
     if not 2 <= p <= 6:
         raise ValueError(f"condition checks support orders 2..6, got {p}")
@@ -369,14 +403,11 @@ def check_scheme(scheme: Scheme, p: int, mode: str = "strong", seeds: int = 3,
         raise ValueError(f"model dimension n must be >= 1, got {n}")
     conds = condition_table(p)
     kmax = max(scheme.max_phi_index, p)
-    worst = {c.number: 0.0 for c in conds}
-    for rep in range(seeds):
-        model = RandomModel((base_seed, rep), n=n)
-        ev = PhiAtMatrix(model.Z, kmax)
-        ev0 = PhiAtMatrix(np.zeros_like(model.Z), kmax)
-        for cond in conds:
-            r = residual(cond, scheme, model, mode=mode, ev=ev, ev0=ev0)
-            worst[cond.number] = max(worst[cond.number], r)
+    models = [RandomModel((base_seed, rep), n=n) for rep in range(seeds)]
+    Z = np.stack([m.Z for m in models])
+    ev, ev0 = PhiAtMatrix(Z, kmax), PhiAtMatrix(np.zeros_like(Z), kmax)
+    worst = {c.number: residual(c, scheme, models, mode=mode, ev=ev, ev0=ev0)
+             for c in conds}
     results = [
         ConditionResult(
             number=c.number, order=c.order, kind=c.kind, tree=c.tree.bracket(),

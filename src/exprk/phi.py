@@ -265,6 +265,7 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
     invariant: the projection onto it is then the augmented operator itself
     (Saad 1992), and its answer is returned whatever the estimate reads. If
     any v_j is not finite, the result is all NaN at once, from no Arnoldi
+    step. Vectors of different lengths raise ValueError, also before any
     step. With return_info, returns (result, KrylovInfo).
     """
     if tol <= 0:
@@ -272,6 +273,9 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
     V = [np.asarray(v, dtype=float) for v in V]
     n = V[0].size
     p = len(V) - 1
+    other = next((v.size for v in V if v.size != n), n)
+    if other != n:
+        raise ValueError(f"vectors must share one length, got {n} and {other}")
 
     def _done(result, info):
         return (result, info) if return_info else result

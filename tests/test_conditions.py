@@ -269,6 +269,10 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="Z other than the model's"):
             residual(cond, s16, model, ev=PhiAtMatrix(np.eye(4), 6))
 
+    def test_residual_rejects_an_empty_list_of_models(self, s16, no_work):
+        with pytest.raises(ValueError, match="at least one model"):
+            residual(condition_table(6)[35], s16, [])
+
     def test_residual_accepts_an_evaluator_at_an_equal_copy_of_z(self, s16, model, ev):
         cond = condition_table(6)[35]
         copy = PhiAtMatrix(model.Z.copy(), 6)
@@ -349,18 +353,21 @@ class TestStageVectors:
 class TestMemo:
     """The evaluator memoizes per model; results must not depend on it."""
 
+    @pytest.mark.parametrize("seeds, n", [(1, 4), (3, 4), (1, 6), (3, 6)])
     @pytest.mark.parametrize("scheme_name, mode", [
         ("s16", "strong"), ("s15", "strong"), ("s15", "weak17")])
     def test_check_scheme_equals_fresh_evaluator_per_condition(
-            self, scheme_name, mode, request):
+            self, scheme_name, mode, seeds, n, request):
+        # the stacked pass reports bitwise the largest of the per-model residuals
         scheme = request.getfixturevalue(scheme_name)
-        report = check_scheme(scheme, p=6, mode=mode, seeds=1)
-        model = RandomModel((DEFAULT_SEED, 0), n=4)
+        report = check_scheme(scheme, p=6, mode=mode, seeds=seeds, n=n)
+        models = [RandomModel((DEFAULT_SEED, rep), n=n) for rep in range(seeds)]
         kmax = max(scheme.max_phi_index, 6)
         for cond, got in zip(condition_table(6), report.results):
-            want = residual(cond, scheme, model, mode=mode,
-                            ev=PhiAtMatrix(model.Z, kmax),
-                            ev0=PhiAtMatrix(np.zeros_like(model.Z), kmax))
+            want = max(residual(cond, scheme, model, mode=mode,
+                                ev=PhiAtMatrix(model.Z, kmax),
+                                ev0=PhiAtMatrix(np.zeros_like(model.Z), kmax))
+                       for model in models)
             assert got.residual == want, cond.number
 
     def test_psi_is_keyed_on_the_scheme(self, s15, s16, model):
@@ -381,6 +388,43 @@ class TestMemo:
         for arr in (ev.coeff(poly), ev.entry(F(1, 2), 2), psi(3, 12, s16, ev)):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
+
+
+class TestStackedPass:
+    """check_scheme evaluates each condition once over all of its models."""
+
+    @pytest.mark.parametrize("scheme_name, mode, zero_nodes", [
+        ("s16", "strong", 0), ("s15", "strong", 0), ("s15", "weak17", 1)])
+    def test_one_residual_per_condition_one_phi_per_seed_and_node(
+            self, scheme_name, mode, zero_nodes, request, monkeypatch):
+        import exprk.conditions as conditions
+
+        scheme = request.getfixturevalue(scheme_name)
+        residual_calls, phi_args = [], []
+        real_residual, real_phi = conditions.residual, conditions.phi_all_dense
+
+        def counted_residual(*args, **kwargs):
+            residual_calls.append(args[0].number)
+            return real_residual(*args, **kwargs)
+
+        def counted_phi(M, kmax):
+            phi_args.append(np.asarray(M).tobytes())
+            return real_phi(M, kmax)
+
+        monkeypatch.setattr(conditions, "residual", counted_residual)
+        monkeypatch.setattr(conditions, "phi_all_dense", counted_phi)
+        check_scheme(scheme, p=6, mode=mode, seeds=3)
+        assert residual_calls == list(range(1, 37))
+        # weak17 adds node 1 at Z = 0 for each seed, three equal arguments
+        assert len(phi_args) == 3 * (len(scheme.nodes_used) + zero_nodes)
+        assert len(set(phi_args)) == 3 * len(scheme.nodes_used) + zero_nodes
+
+    def test_a_list_of_models_without_evaluators_reports_the_largest(self, s15):
+        # the evaluators residual builds itself are at the stacked Z and its zeros
+        models = [RandomModel((DEFAULT_SEED, rep), n=4) for rep in range(2)]
+        for cond in condition_table(6):
+            want = max(residual(cond, s15, model, mode="weak17") for model in models)
+            assert residual(cond, s15, models, mode="weak17") == want, cond.number
 
 
 class TestSharedEvaluator:

@@ -408,6 +408,19 @@ class TestPhiComboApplyKrylov:
         assert out.shape == (8,) and np.isnan(out).all()
         assert (info.m, info.dense_fallback, calls) == (0, False, [])
 
+    @pytest.mark.parametrize("lengths", [(8, 7), (7, 8)])
+    def test_names_a_length_mismatch_before_any_arnoldi_step(self, lengths):
+        calls = []
+
+        def apply_A(v):
+            calls.append(1)
+            return np.eye(8) @ v
+
+        V = [np.ones(k) for k in lengths]
+        with pytest.raises(ValueError, match=f"got {lengths[0]} and {lengths[1]}"):
+            phi_combo_apply_krylov(apply_A, 0.1, V, 1e-9)
+        assert calls == []
+
 
 class TestPhiCache:
     def test_single_node_contents(self):
