@@ -3,7 +3,8 @@
 Subcommands
 -----------
 check      verify a scheme's order conditions, CSV residual report
-converge   fixed-step convergence study on a benchmark problem
+converge   fixed-step convergence study on a benchmark problem; wall_seconds
+           per step size include building its step context
 integrate  single integration run, one CSV row
 trees      list the condition trees up to a given order
 
@@ -53,7 +54,8 @@ class ConvergenceRow:
 
 @dataclass
 class ConvergenceReport:
-    """Rows of (h, error, wall time, observed order) for one scheme/problem."""
+    """Rows of (h, error, wall time, observed order) for one scheme/problem;
+    a row's wall time covers building its step context and its steps."""
 
     scheme: str
     problem: str
@@ -70,7 +72,11 @@ class ConvergenceReport:
 
 def run_convergence(scheme_name: str, problem_name: str, steps=DEFAULT_STEPS,
                     n: int = 200) -> ConvergenceReport:
-    """Integrate over [0, 1] at each step size and tabulate errors and observed orders."""
+    """Integrate over [0, 1] at each step size and tabulate errors and observed orders.
+
+    Each step size builds its own step context (phi tables and folded
+    coefficients), and its wall_seconds include that set-up with the steps.
+    """
     scheme = scheme_by_name(scheme_name)
     problem = problem_by_name(problem_name, n)
     steps = sorted((Fraction(s) for s in steps), reverse=True)

@@ -14,14 +14,15 @@ Z, checking them at a random Z of unit norm with independent random tensors
 per interior node exposes any violation (up to roundoff); residuals of
 satisfied conditions sit at ~1e-13 while violated ones are O(1e-4) or larger.
 
-check_scheme evaluates each condition once over all of its random models:
-Z, w and every node's map are stacked on a leading seed axis, each product
-is a matmul per seed over a trailing vector axis, and each seed's norm is
-taken over its own slice, so every seed's residual is bitwise the one it
-has alone. Inside one residual call each tree is evaluated once per (node,
-stage): a node's map at its children's stage-j vectors is formed once and
-read by every parent stage i > j. The arithmetic and its order are the
-recursion's, so the residuals are those of the plain recursion bit for bit.
+check_scheme evaluates each condition once over all of its random models
+(one model alone goes unstacked): Z, w and every node's map are stacked on
+a leading seed axis, each product is a matmul per seed over a trailing
+vector axis, and each seed's norm is taken over its own slice, so every
+seed's residual is bitwise the one it has alone. Inside one residual call
+each tree is evaluated once per (node, stage): a node's map at its
+children's stage-j vectors is formed once and read by every parent stage
+i > j. The arithmetic and its order are the recursion's, so the residuals
+are those of the plain recursion bit for bit.
 
 "strong" mode draws Z at random for every condition; "weak17" additionally
 evaluates the order-6 quadrature condition at Z = 0, which is the regime the
@@ -92,7 +93,8 @@ class PhiAtMatrix(PhiCache):
     alone returns. One evaluator serves one model or one stack, so
     everything it returns is memoized and read-only:
 
-      * entry(c, j): phi_all_dense runs once per (seed, node c), on first use;
+      * node(c), and so entry(c, j): phi_all_dense runs once per (seed, node c),
+        on first use;
       * coeff(poly): PhiCache.coeff, formed once per polynomial
         (key: id(poly));
       * psi(q, i, scheme, self): each stage defect is formed once
@@ -110,19 +112,16 @@ class PhiAtMatrix(PhiCache):
         self._coeffs: dict[int, tuple[PhiPoly, np.ndarray]] = {}
         self._psi: dict[tuple[int, int, int], tuple[Scheme, np.ndarray]] = {}
 
-    def entry(self, c, j: int) -> np.ndarray:
-        # look up first: a hit then hashes the Fraction node once, not twice
-        try:
-            return self.entries[(c, j)]
-        except KeyError:
-            if (c, 0) not in self.entries:
-                n = self.Z.shape[-1]
-                phis = np.stack([phi_all_dense(float(c) * Z, self.kmax)
-                                 for Z in self.Z.reshape(-1, n, n)], axis=1)
-                for m, mat in enumerate(phis.reshape(self.kmax + 1, *self.Z.shape)):
-                    mat.setflags(write=False)
-                    self.entries[(Fraction(c), m)] = mat
-            return super().entry(c, j)
+    def node(self, c) -> np.ndarray:
+        stack = self.stacks.get(c)
+        if stack is None:
+            n = self.Z.shape[-1]
+            phis = np.stack([phi_all_dense(float(c) * Z, self.kmax)
+                             for Z in self.Z.reshape(-1, n, n)], axis=1)
+            stack = phis.reshape(self.kmax + 1, *self.Z.shape)
+            stack.setflags(write=False)
+            self.stacks[Fraction(c)] = stack
+        return stack
 
     def coeff(self, poly: PhiPoly) -> np.ndarray:
         hit = self._coeffs.get(id(poly))
@@ -387,7 +386,8 @@ def check_scheme(scheme: Scheme, p: int, mode: str = "strong", seeds: int = 3,
 
     Each condition is evaluated once, by one residual call over all the
     models stacked on a seed axis, with one evaluator at the stacked Z and
-    one at its zeros. Reports the maximum residual per condition across the
+    one at its zeros; with seeds=1 the lone model and its evaluators carry
+    no seed axis. Reports the maximum residual per condition across the
     seeds; a condition passes when that maximum stays within tol. Raises
     ValueError for p outside 2..6 and, before any work, for seeds < 1 or
     n < 1, which would check nothing, and for a tol that is not finite and
@@ -404,9 +404,14 @@ def check_scheme(scheme: Scheme, p: int, mode: str = "strong", seeds: int = 3,
     conds = condition_table(p)
     kmax = max(scheme.max_phi_index, p)
     models = [RandomModel((base_seed, rep), n=n) for rep in range(seeds)]
-    Z = np.stack([m.Z for m in models])
+    # a lone model goes unstacked: a seed axis of length 1 shares nothing
+    # and costs each product its broadcast
+    if seeds == 1:
+        model, Z = models[0], models[0].Z
+    else:
+        model, Z = models, np.stack([m.Z for m in models])
     ev, ev0 = PhiAtMatrix(Z, kmax), PhiAtMatrix(np.zeros_like(Z), kmax)
-    worst = {c.number: residual(c, scheme, models, mode=mode, ev=ev, ev0=ev0)
+    worst = {c.number: residual(c, scheme, model, mode=mode, ev=ev, ev0=ev0)
              for c in conds}
     results = [
         ConditionResult(

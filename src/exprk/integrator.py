@@ -119,24 +119,27 @@ def _compile_rows(polys: dict):
     """Group coefficient polynomials of one row/update by phi index."""
     by_m: dict[int, list] = {}
     for j in sorted(polys):
-        for m, w in polys[j].terms:
-            by_m.setdefault(m, []).append((j, float(w)))
+        for m, w in polys[j].float_terms:
+            by_m.setdefault(m, []).append((j, w))
     return tuple((m, tuple(by_m[m])) for m in sorted(by_m))
 
 
 def _stack(cache: PhiCache, n: int, polys: list) -> np.ndarray:
     """The folded coefficients polys[r][k], laid out as _Group.tables.
 
-    n x n matrices go straight into their side-by-side slots, so the group's
-    matrices are never held twice; the small eigenvalue tables are stacked.
+    Each is folded straight into its slot, so the group's tables are never
+    held twice.
     """
+    rows, cols = len(polys), len(polys[0])
     if cache.basis is not None:
-        tables = np.array([[cache.coeff(poly) for poly in row] for row in polys])
+        tables = np.empty((rows, cols, n))
+        slots = tables
     else:
-        tables = np.empty((len(polys), n, len(polys[0]), n))
-        for r, row in enumerate(polys):
-            for q, poly in enumerate(row):
-                tables[r, :, q] = cache.coeff(poly)
+        tables = np.empty((rows, n, cols, n))
+        slots = tables.swapaxes(1, 2)  # slots[r, k] is tables[r, :, k]
+    for r, row in enumerate(polys):
+        for k, poly in enumerate(row):
+            slots[r, k] = cache.coeff(poly)
     tables.setflags(write=False)
     return tables
 
@@ -195,7 +198,8 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepCont
         tables = None
         if cache is not None:
             tables = _stack(cache, np.shape(A)[0], [
-                [PhiPoly.make(c, {1: c})] + [p.get(j, PhiPoly.make(c, {})) for j in reads[1:]]
+                [PhiPoly.make(c, {1: c})] + [p[j] if j in p else PhiPoly.make(c, {})
+                                             for j in reads[1:]]
                 for c, p in zip(nodes, polys)
             ])
         return _Group(stages=stages, index=np.array(stages), plans=plans,

@@ -10,10 +10,13 @@ here revolves around three tasks:
   * the matrix-free action sum_j h^j phi_j(hM) v_j on vectors.
 
 Scalar phi values and dense phi matrices come from one double-precision
-kernel, scaling and modified squaring (Skaflestad & Wright 2009). The
-matrix-free action runs Arnoldi on an augmented operator until its error
-estimate meets the tolerance or the basis spans the augmented space, where
-the projection is the operator itself.
+kernel, scaling and modified squaring (Skaflestad & Wright 2009). Scalars
+take it only below the radius where the upward recurrence from exp(z)
+becomes stable; a stiff spectrum's larger arguments, nearly all of them,
+take the recurrence alone. The matrix-free action runs Arnoldi on an
+augmented operator until its error estimate meets the tolerance or the
+basis spans the augmented space, where the projection is the operator
+itself.
 
 A tridiagonal Toeplitz operator (TridiagonalToeplitz) has the sine matrix as
 its eigenbasis, and from SINE_TRANSFORM_MIN_N up its changes of basis are a
@@ -95,11 +98,14 @@ def phi_scalar(k: int, z: float) -> float:
 def phi_scalar_all(kmax: int, z: np.ndarray) -> np.ndarray:
     """phi_0..phi_kmax on an array of real arguments, shape (kmax+1, len(z)).
 
-    In double precision. Below max(_DOUBLE_RECURRENCE_RADIUS, kmax) in
-    absolute value, each element takes its own s = _halvings(|z|): the Taylor
-    series (Horner) at x = z/2^s, then s squarings, with phi_0 at level i
-    recomputed as exp(2^i x) rather than squared. From there up, the upward
-    recurrence from exp(z). Raises ValueError on kmax < 0 or a non-finite z.
+    In double precision. Only the elements below
+    max(_DOUBLE_RECURRENCE_RADIUS, kmax) in absolute value take the series:
+    each takes its own s = _halvings(|z|), one Horner pass at x = z/2^s
+    evaluates the Taylor series of every phi_k at once, with the [1/(j+k)!]
+    weights of _weights(kmax), and s squarings follow, with phi_0 at level i
+    recomputed as exp(2^i x) rather than squared. The others, most of a
+    stiff operator's spectrum, take only the upward recurrence from exp(z).
+    Raises ValueError on kmax < 0 or a non-finite z.
     """
     if kmax < 0:
         raise ValueError(f"phi index must be >= 0, got {kmax}")
@@ -109,25 +115,30 @@ def phi_scalar_all(kmax: int, z: np.ndarray) -> np.ndarray:
     out = np.empty((kmax + 1, flat.size))
 
     large = np.abs(flat) >= max(_DOUBLE_RECURRENCE_RADIUS, kmax)
-    s = _halvings(np.abs(flat))
-    x = np.ldexp(flat, -s)
-    s[large] = 0
-    for k in range(kmax + 1):
-        acc = np.full_like(x, 1.0 / math.factorial(_SERIES_TERMS - 1 + k))
-        for j in range(_SERIES_TERMS - 2, -1, -1):
-            acc = acc * x + 1.0 / math.factorial(j + k)
-        out[k] = acc
+    small = ~large
+    zs = flat[small]
+    s = _halvings(np.abs(zs))
+    x = np.ldexp(zs, -s)
+    series = _weights(kmax)[0]
+    phis = np.repeat(series[:, -1:], x.size, axis=1)
+    for j in range(_SERIES_TERMS - 2, -1, -1):
+        phis *= x
+        phis += series[:, j : j + 1]
+    # each squaring takes the live columns in their order in z, so that its
+    # product is formed as for the whole array
     for i in range(1, int(s.max(initial=0)) + 1):
         live = s >= i
-        squared = _square(out[:, live], np.multiply)
+        squared = _square(phis[:, live], np.multiply)
         squared[0] = np.exp(np.ldexp(x[live], i))
-        out[:, live] = squared
+        phis[:, live] = squared
+    out[:, small] = phis
     zl = flat[large]
-    row = np.exp(zl)
-    out[0, large] = row
-    for k in range(kmax):
-        row = (row - 1.0 / math.factorial(k)) / zl
-        out[k + 1, large] = row
+    rows = np.empty((kmax + 1, zl.size))
+    np.exp(zl, out=rows[0])
+    for k in range(kmax):  # phi_{k+1} = (phi_k - 1/k!)/z
+        np.subtract(rows[k], series[k, 0], out=rows[k + 1])
+        rows[k + 1] /= zl
+    out[:, large] = rows
     return out
 
 
@@ -509,6 +520,8 @@ class PhiCache:
     coordinates Q^T v elementwise. The basis object (see build_phi_cache)
     changes coordinates and forms Q as its `matrix`. Without a basis, the
     dense kind, each entry is the read-only n x n matrix phi_j(c*h*A).
+    `stacks` holds each node's entries for j = 0..kmax stacked on axis 0, one
+    read-only array per node; `entries` reads them by (c, j).
     `coeff` folds a phi polynomial into one entry of the same kind: it is the
     one evaluator of scheme coefficients, for the integrator and, through
     PhiAtMatrix, for the order-condition checker. `get` returns a phi matrix
@@ -517,16 +530,27 @@ class PhiCache:
     """
 
     kmax: int
-    entries: dict = field(default_factory=dict)
+    stacks: dict = field(default_factory=dict)
     basis: _MatrixBasis | _SineTransform | _SineFold | None = None
+
+    @property
+    def entries(self) -> dict:
+        """Every entry, keyed by (node c, index j)."""
+        return {(c, j): stack[j] for c, stack in self.stacks.items() for j in range(len(stack))}
+
+    def node(self, c: Fraction) -> np.ndarray:
+        """The entries for (c, 0..kmax), stacked on axis 0."""
+        # a number hashes and compares equal to the Fraction of its value
+        try:
+            return self.stacks[c]
+        except KeyError:
+            raise KeyError(f"phi cache has no entries for node {c}") from None
 
     def entry(self, c: Fraction, j: int) -> np.ndarray:
         """The stored table (with a basis) or matrix (without) for (c, j)."""
-        # a number hashes and compares equal to the Fraction of its value
-        try:
-            return self.entries[(c, j)]
-        except KeyError:
-            raise KeyError(f"phi cache has no entry for node {c}, index {j}") from None
+        if not 0 <= j <= self.kmax:
+            raise KeyError(f"phi cache has no entry for node {c}, index {j}")
+        return self.node(c)[j]
 
     def get(self, c: Fraction, j: int) -> np.ndarray:
         """phi_j(c*h*A) as a read-only n x n matrix, formed on demand with a basis."""
@@ -543,11 +567,15 @@ class PhiCache:
 
         Read-only, and of the entries' kind: a table on the eigenvalues with
         a basis, an n x n matrix without. Not memoized: each call folds the
-        entries in term order, from zeros.
+        entries in term order, from zeros, with the weights as floats.
         """
-        out = np.zeros_like(self.entry(poly.c, 0))
-        for j, w in poly.terms:
-            out += float(w) * self.entry(poly.c, j)
+        stack = self.node(poly.c)
+        out = np.zeros(stack.shape[1:])
+        try:
+            for j, w in poly.float_terms:
+                out += w * stack[j]
+        except IndexError:
+            raise KeyError(f"phi cache has no entry for node {poly.c}, index {j}") from None
         out.setflags(write=False)
         return out
 
@@ -653,6 +681,5 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
         stack = (phi_scalar_all(kmax, float(c) * float(h) * lam) if symmetric
                  else phi_all_dense(float(c) * float(h) * A, kmax))
         stack.setflags(write=False)
-        for j in range(kmax + 1):
-            cache.entries[(c, j)] = stack[j]
+        cache.stacks[c] = stack
     return cache

@@ -12,8 +12,9 @@ rows from a small moment system over the previous block's nodes,
 whose unique solution is read off a Lagrange-type basis polynomial
 x * prod_{m != col} (x - c_m) / (c_col * prod (c_col - c_m)). For the
 update this makes the quadrature conditions hold for every matrix argument.
-All of this is done in exact rational arithmetic; floating error enters only
-when phi matrices are evaluated.
+All of this is exact: the moment system is solved in integers over its
+nodes' common denominator, and each weight becomes one Fraction. Floating
+error enters only when phi matrices are evaluated and the weights rounded.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 __all__ = [
     "PhiPoly",
@@ -45,8 +46,8 @@ class PhiPoly:
 
     @staticmethod
     def make(c, weights: dict) -> "PhiPoly":
-        c = Fraction(c)
-        items = tuple(sorted((int(j), Fraction(w)) for j, w in weights.items() if w != 0))
+        c = _fraction(c)
+        items = tuple(sorted((int(j), _fraction(w)) for j, w in weights.items() if w != 0))
         for j, _ in items:
             if j < 1:
                 raise ValueError("phi indices in coefficients start at 1")
@@ -55,6 +56,11 @@ class PhiPoly:
     @property
     def weights(self) -> dict[int, Fraction]:
         return dict(self.terms)
+
+    @cached_property
+    def float_terms(self) -> tuple[tuple[int, float], ...]:
+        """The terms with each weight rounded to a float, converted once."""
+        return tuple((j, float(w)) for j, w in self.terms)
 
     @property
     def max_index(self) -> int:
@@ -65,6 +71,11 @@ class PhiPoly:
         return sum((w / factorial(j) for j, w in self.terms), Fraction(0))
 
 
+def _fraction(x) -> Fraction:
+    """x as a Fraction, itself if it is one already."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def block_weights(nodes: list[Fraction]) -> dict[tuple[int, int], Fraction]:
     """Solve the moment system over a node block, exactly.
 
@@ -72,28 +83,51 @@ def block_weights(nodes: list[Fraction]) -> dict[tuple[int, int], Fraction]:
     sum_col w[(j, col)] * nodes[col]^(q-1) = (q-1)! * delta_{qj}.
     Requires the nodes to be distinct and nonzero (denominators).
     """
-    nodes = [Fraction(c) for c in nodes]
+    numerators, denominators = _moment_integers(nodes)
+    return {(j, col): Fraction(num[j], den)
+            for col, (num, den) in enumerate(zip(numerators, denominators))
+            for j in range(2, len(num))}
+
+
+def _moment_integers(nodes) -> tuple[list[list[int]], list[int]]:
+    """block_weights in integers: w[(j, col)] = numerators[col][j] / denominators[col].
+
+    The arithmetic is over the nodes' common denominator d. With p_m = d c_m
+    and L nodes, the x^k coefficient of x * prod_{m != col} (x - c_m) is
+    e_k d^(k-L), where e_k is that of the integer polynomial
+    y * prod_{m != col} (y - p_m), and c_col * prod_{m != col} (c_col - c_m)
+    is E / d^L with the integer E = p_col * prod (p_col - p_m). So
+    w[(j, col)] = (j-1)! e_{j-1} d^(j-1) / E. numerators[col][j] is given
+    for j = 2..L+1 (entries 0 and 1 are unused zeros).
+    """
+    nodes = [_fraction(c) for c in nodes]
     if len(set(nodes)) != len(nodes):
         raise ValueError(f"block nodes must be distinct, got {nodes}")
     if any(c == 0 for c in nodes):
         raise ValueError("block nodes must be nonzero")
-    out: dict[tuple[int, int], Fraction] = {}
-    for col, cc in enumerate(nodes):
-        others = [c for k, c in enumerate(nodes) if k != col]
-        # coefficients (ascending) of x * prod (x - c_m)
-        poly = [Fraction(0), Fraction(1)]
-        for cm in others:
-            nxt = [Fraction(0)] * (len(poly) + 1)
-            for d, a in enumerate(poly):
-                nxt[d + 1] += a
-                nxt[d] -= cm * a
+    d = lcm(*(c.denominator for c in nodes))
+    p = [c.numerator * (d // c.denominator) for c in nodes]
+    # (j-1)! d^(j-1) at index j-1
+    scale = [1]
+    for k in range(1, len(nodes) + 1):
+        scale.append(scale[-1] * k * d)
+    numerators, denominators = [], []
+    for col, pc in enumerate(p):
+        others = p[:col] + p[col + 1:]
+        # coefficients (ascending) of y * prod (y - p_m)
+        poly = [0, 1]
+        for pm in others:
+            nxt = [0] * (len(poly) + 1)
+            for k, a in enumerate(poly):
+                nxt[k + 1] += a
+                nxt[k] -= pm * a
             poly = nxt
-        den = cc
-        for cm in others:
-            den *= cc - cm
-        for j in range(2, len(nodes) + 2):
-            out[(j, col)] = factorial(j - 1) * poly[j - 1] / den
-    return out
+        den = pc
+        for pm in others:
+            den *= pc - pm
+        numerators.append([0] + [sk * ek for sk, ek in zip(scale, poly)])
+        denominators.append(den)
+    return numerators, denominators
 
 
 @dataclass(frozen=True)
@@ -166,14 +200,16 @@ def _stage_rows(rows: list[int], cols: list[int],
     with weights c_i^j * w[j][col], j = 2..len(cols)+1, where w solves the
     moment system over the column nodes.
     """
-    w = block_weights([c[j] for j in cols])
+    numerators, denominators = _moment_integers([c[j] for j in cols])
+    js = range(2, len(cols) + 2)
     out = {}
     for i in rows:
         ci = c[i]
-        for k, col in enumerate(cols):
-            out[(i, col)] = PhiPoly.make(
-                ci, {j: ci**j * w[(j, k)] for j in range(2, len(cols) + 2)}
-            )
+        # c_i^j w[(j, col)] as one Fraction, from c_i = a/b and the integer w
+        powers = [(ci.numerator**j, ci.denominator**j) for j in js]
+        for num, den, col in zip(numerators, denominators, cols):
+            out[(i, col)] = PhiPoly.make(ci, {j: Fraction(a * num[j], b * den)
+                                              for j, (a, b) in zip(js, powers)})
     return out
 
 

@@ -6,7 +6,11 @@ matrices entry by entry from their defining numbers, matrix
 exponentials from a long plain series in software arbitrary precision, dense
 phi matrices also from one scipy exponential of an augmented block matrix,
 and tree invariants from explicit enumeration of labeled representatives.
-The one exception is residual_ref, the checker's recursion in its first form.
+The exceptions are residual_ref, the checker's recursion in its first form,
+and two of the library's set-up kernels in their first form, which its
+faster ones must match bit for bit: phi_scalar_all_series_ref, the scalar
+phi kernel running the series on every argument, and
+block_weights_fraction_ref, the moment solve in Fraction arithmetic.
 """
 
 import math
@@ -106,6 +110,74 @@ def _phi_ref_complex(k: int, z: complex, terms: int = 60):
         for j in range(terms):
             acc += zm**j / mpmath.factorial(j + k)
         return complex(acc)
+
+
+# -- set-up kernels in their first form ---------------------------------------
+
+
+def phi_scalar_all_series_ref(kmax: int, z: np.ndarray) -> np.ndarray:
+    """phi_0..phi_kmax on real z, shape (kmax+1, len(z)), as the library's
+    phi_scalar_all first computed them: every element takes the Taylor
+    series at x = z/2^s, with s the least halving count below 0.5, and s
+    squarings (phi_0 at level i recomputed as exp(2^i x)); then the elements
+    from max(20, kmax) up are overwritten by the upward recurrence from exp(z).
+    """
+    terms = 25
+    flat = np.asarray(z, dtype=float).ravel()
+    out = np.empty((kmax + 1, flat.size))
+    k = np.arange(kmax + 1)
+    inverse = np.array([1.0 / math.factorial(i) for i in range(kmax + terms)])
+    lower = np.tril(inverse[np.subtract.outer(k, k)])
+    lower[:, 0] = 0.0
+
+    large = np.abs(flat) >= max(20.0, kmax)
+    s = np.maximum(np.frexp(np.abs(flat) / 0.5)[1], 0)
+    x = np.ldexp(flat, -s)
+    s[large] = 0
+    for m in range(kmax + 1):
+        acc = np.full_like(x, 1.0 / math.factorial(terms - 1 + m))
+        for j in range(terms - 2, -1, -1):
+            acc = acc * x + 1.0 / math.factorial(j + m)
+        out[m] = acc
+    for i in range(1, int(s.max(initial=0)) + 1):
+        live = s >= i
+        phis = out[:, live]
+        # phi_m(2X) = 2^-m [phi_0(X) phi_m(X) + sum_{j=1..m} phi_j(X)/(m-j)!]
+        squared = phis[0] * phis
+        squared += lower @ phis
+        squared *= np.ldexp(1.0, -k)[:, None]
+        squared[0] = np.exp(np.ldexp(x[live], i))
+        out[:, live] = squared
+    zl = flat[large]
+    row = np.exp(zl)
+    out[0, large] = row
+    for m in range(kmax):
+        row = (row - 1.0 / math.factorial(m)) / zl
+        out[m + 1, large] = row
+    return out
+
+
+def block_weights_fraction_ref(nodes) -> dict:
+    """The moment solve of tableaus.block_weights in Fraction arithmetic:
+    w[(j, col)] = (j-1)! [x^(j-1)] (x prod_{m != col} (x - c_m))
+    / (c_col prod_{m != col} (c_col - c_m)) for j = 2..len(nodes)+1."""
+    nodes = [Fraction(c) for c in nodes]
+    out = {}
+    for col, cc in enumerate(nodes):
+        others = [c for k, c in enumerate(nodes) if k != col]
+        poly = [Fraction(0), Fraction(1)]
+        for cm in others:
+            nxt = [Fraction(0)] * (len(poly) + 1)
+            for d, a in enumerate(poly):
+                nxt[d + 1] += a
+                nxt[d] -= cm * a
+            poly = nxt
+        den = cc
+        for cm in others:
+            den *= cc - cm
+        for j in range(2, len(nodes) + 2):
+            out[(j, col)] = math.factorial(j - 1) * poly[j - 1] / den
+    return out
 
 
 # -- rooted tree oracles ----------------------------------------------------

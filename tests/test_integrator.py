@@ -101,6 +101,41 @@ def test_general_path_matches_reference_on_nonsymmetric_operator(name):
     assert _relative_gap(got, want) <= 1e-12
 
 
+# (n, the operator, the basis kind): the closed-form Q, the sine fold, the
+# sine transform, eigh on a symmetric ndarray, and dense phi matrices on a
+# general one
+_ROUTES = {
+    "Q": (64, lambda A: A, _MatrixBasis),
+    "fold": (400, lambda A: A, _SineFold),
+    "transform": (1600, lambda A: A, _SineTransform),
+    "eigh": (48, dense_matrix, _MatrixBasis),
+    "general": (24, lambda A: dense_matrix(A) + np.triu(np.full((A.n, A.n), 0.3), 2),
+                type(None)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+@pytest.mark.parametrize("name", ["exprk6s15", "exprk6s16"])
+def test_group_tables_are_folds_of_the_cache_entries(name, route):
+    # each table is sum_m w_m phi_m(c hA) over its terms in order, from
+    # zeros, with each Fraction weight rounded to a float: bitwise
+    n, operator, kind = _ROUTES[route]
+    scheme = scheme_by_name(name)
+    ctx = precompute(scheme, operator(make_heat1d(n).A), 0.125)
+    assert type(ctx.cache.basis) is kind
+    entries = ctx.cache.entries
+    for group in ctx.groups + (ctx.update,):
+        for r, i in enumerate(group.stages):
+            c, row = scheme.rows[i]
+            terms = [((1, c),)] + [row[j].terms if j in row else () for j in group.reads[1:]]
+            for k, polynomial in enumerate(terms):
+                want = np.zeros_like(entries[(c, 0)])
+                for m, w in polynomial:
+                    want += float(w) * entries[(c, m)]
+                got = group.tables[r, k] if ctx.cache.basis is not None else group.tables[r, :, k]
+                assert got.tobytes() == want.tobytes(), (i, k)
+
+
 # n+1 = 521 is prime, DST-I's slowest case; n+1 = 540 = 2^2 3^3 5 is smooth.
 # n = 400 and 401, below SINE_TRANSFORM_MIN_N, take the sine fold.
 @pytest.mark.parametrize("n", [521 - 1, 540 - 1, 400, 401])

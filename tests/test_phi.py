@@ -32,6 +32,7 @@ from oracles import (
     phi_augmented_ref,
     phi_matrix_series_ref,
     phi_ref,
+    phi_scalar_all_series_ref,
     phi_spectral_ref,
 )
 
@@ -120,6 +121,25 @@ class TestPhiScalar:
 
     def test_series_threshold_documented(self):
         assert SERIES_RADIUS == 0.5
+
+    @pytest.mark.parametrize("kmax", [0, 1, 6, 8])
+    def test_bitwise_the_series_on_every_argument(self, kmax):
+        # only arguments below the recurrence radius take the series and the
+        # squarings; every element must equal the kernel that gave them to all
+        edge = max(20.0, kmax)
+        marks = [edge, SERIES_RADIUS, 2.0**-30, 1e-300]
+        around = [np.nextafter(m, d) for m in marks for d in (0.0, np.inf)]
+        rng = np.random.default_rng(kmax)
+        z = np.concatenate([
+            [0.0], marks, around, np.negative(marks), np.negative(around),
+            np.linspace(-3 * edge, 3 * edge, 601),
+            -(10.0 ** rng.uniform(-3.0, 7.0, 200)),  # a stiff spectrum
+            rng.uniform(-edge, edge, 200),
+        ])
+        rng.shuffle(z)
+        for part in (z, z[:1], z[np.abs(z) < edge], z[np.abs(z) >= edge]):
+            got = phi_scalar_all(kmax, part)
+            assert got.tobytes() == phi_scalar_all_series_ref(kmax, part).tobytes()
 
 
 class TestExpm:

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from exprk.tableaus import (
     make_exprk6s16,
     scheme_by_name,
 )
+from oracles import block_weights_fraction_ref
 
 
 def _poly_at(poly, z):
@@ -68,6 +70,22 @@ class TestBlockWeights:
                               for col in range(len(nodes)))
                     want = math.factorial(q - 1) if q == j else 0
                     assert lhs == want
+
+    def test_equals_the_fraction_solve(self):
+        # integer arithmetic over the common denominator gives the same Fractions
+        rng = random.Random(2024)
+        for _ in range(200):
+            nodes = set()
+            size = rng.randint(1, 6)
+            while len(nodes) < size:
+                den = rng.choice([1, 2, 3, 10, 10**6 + 3, rng.randint(1, 10**9)])
+                num = rng.randint(-3 * den, 3 * den)
+                if num:
+                    nodes.add(F(num, den))
+            nodes = list(nodes)
+            got, want = block_weights(nodes), block_weights_fraction_ref(nodes)
+            assert list(got) == list(want) and got == want, nodes
+            assert all(type(w) is F for w in got.values())
 
     def test_rejects_duplicate_or_zero_nodes(self):
         with pytest.raises(ValueError):
