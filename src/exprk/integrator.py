@@ -28,8 +28,14 @@ For general A the cache holds dense phi matrices and no basis; precompute
 folds each coefficient into one n x n matrix, and a group's increments are
 one matrix-vector product of its folded matrices, laid side by side, with
 the stacked D_j.
-The matrix-free path evaluates each stage with a Krylov approximation of
-the phi combination instead.
+The matrix-free path builds no cache: each row, a stage or the update, is
+one Krylov approximation of its phi combination (phi_combo_apply_krylov).
+Where problem.A offers a `shifted_solver`, as a TridiagonalToeplitz record
+does, a step factors I - sigma A once, sigma = h/4, and every row runs the
+shift-and-invert route on that one solve: on heat1d 12 to 16 basis
+vectors per row from n=64 to n=20000. A problem that gives only an action
+keeps the polynomial route, whose basis on a stiff A can need the whole
+augmented space.
 
 A step is six rounds for exprk6s16, five groups and the update, so the
 fixed cost of a round counts as much as its arithmetic at small n. Each
@@ -68,6 +74,11 @@ __all__ = [
 
 # Relative tolerance of every matrix-free phi combination.
 KRYLOV_TOL = 1e-10
+# A matrix-free step factors I - sigma A once at sigma = _SHIFT * h, and
+# every row's shift-and-invert basis uses that one solve. At h/4 the rows
+# (nodes c from 1/5 to 1) run with gamma = sigma/(c h) from 1/4 to 5/4, and
+# heat1d's rows stop at 12 to 16 basis vectors from n=64 to n=20000.
+_SHIFT = 0.25
 
 
 class DivergenceError(RuntimeError):
@@ -179,7 +190,8 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepCont
     """Build the phi cache (dense path) and the per-group evaluation plans.
 
     A is a TridiagonalToeplitz record, a dense matrix or, with krylov=True, any
-    operator action; then no cache is built and stages use Krylov evaluations.
+    operator action; then no cache is built and stages use Krylov evaluations,
+    each step taking its shifted solve, if any, from problem.A (see `step`).
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
@@ -222,7 +234,7 @@ def _combo_vectors(h_eff: float, h: float, F: np.ndarray, rows, D) -> list:
     return vs
 
 
-def _increments(ctx: StepContext, group: _Group, D: np.ndarray) -> np.ndarray:
+def _increments(ctx: StepContext, group: _Group, D: np.ndarray, solve) -> np.ndarray:
     """h (c_i phi_1(c_i hA) F + sum_j a_ij(hA) D_j), one row per row of the group.
 
     D[1] holds F and D[j] stage j's increment, in the cache's basis
@@ -230,7 +242,8 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray) -> np.ndarray:
     the dense path the whole group is one contraction of its folded
     coefficients (a product of tables with a basis, one matrix-vector
     product without) and one basis change; matrix-free, each row is one
-    Krylov evaluation. The result is a new array, which `step` updates in place.
+    Krylov evaluation, by shift and invert on `solve` where one is given.
+    The result is a new array, which `step` updates in place.
     """
     h = ctx.h
     if group.tables is not None:
@@ -248,7 +261,7 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray) -> np.ndarray:
     for plan in group.plans:
         h_eff = plan.c * h
         vs = _combo_vectors(h_eff, h, D[1], plan.rows, D)
-        rows.append(phi_combo_apply_krylov(ctx.apply_A, h_eff, vs, KRYLOV_TOL))
+        rows.append(phi_combo_apply_krylov(ctx.apply_A, h_eff, vs, KRYLOV_TOL, solve=solve))
     return np.stack(rows)
 
 
@@ -268,20 +281,26 @@ def step(ctx: StepContext, problem: SemilinearProblem, t: float,
          u: np.ndarray) -> np.ndarray:
     """One step of the scheme from (t, u); groups run in scheme order.
 
-    Calls problem.f(t, u) once and problem.g(t, u) once, then, per group,
-    forms the stage values from one combination and calls g once per stage
-    of the group, in stage order. Neither u nor any array g returns is
-    written to. Raises DivergenceError naming the first stage, or the final
-    update, whose values are not finite. `integrate` looks this function up
-    at each step, so a wrapper patched over it, as the benchmark's tracer
-    does, times every step.
+    On the matrix-free path it first asks problem.A, if it has a
+    `shifted_solver`, for the solve with I - (h/4)A, once, and passes it to
+    every row's Krylov call. Calls problem.f(t, u) once and problem.g(t, u)
+    once, then, per group, forms the stage values from one combination and
+    calls g once per stage of the group, in stage order. Neither u nor any
+    array g returns is written to. Raises DivergenceError naming the first
+    stage, or the final update, whose values are not finite. `integrate`
+    looks this function up at each step, so a wrapper patched over it, as
+    the benchmark's tracer does, times every step.
     """
     u = np.asarray(u, dtype=float)
+    solve = None
+    if ctx.cache is None:
+        shifted_solver = getattr(problem.A, "shifted_solver", None)
+        solve = None if shifted_solver is None else shifted_solver(_SHIFT * ctx.h)
     D = np.empty((ctx.scheme.s + 1, u.size))
     D[1] = ctx.to_basis(problem.f(t, u))
     gn = problem.g(t, u)
     for group in ctx.groups:
-        U = _increments(ctx, group, D)
+        U = _increments(ctx, group, D, solve)
         U += u
         _check_finite(U, group.stages)
         G = np.empty_like(U)
@@ -290,7 +309,7 @@ def step(ctx: StepContext, problem: SemilinearProblem, t: float,
         G -= gn
         _check_finite(G, group.stages)
         D[group.index] = ctx.to_basis(G)
-    u_next = _increments(ctx, ctx.update, D)
+    u_next = _increments(ctx, ctx.update, D, solve)
     u_next += u
     _check_finite(u_next, (None,))
     return u_next[0]

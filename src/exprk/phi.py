@@ -14,13 +14,17 @@ kernel, scaling and modified squaring (Skaflestad & Wright 2009). Scalars
 take it only below the radius where the upward recurrence from exp(z)
 becomes stable; a stiff spectrum's larger arguments, nearly all of them,
 take the recurrence alone. The matrix-free action runs Arnoldi on an
-augmented operator until its error estimate meets the tolerance or the
-basis spans the augmented space, where the projection is the operator
-itself.
+augmented operator, growing one basis until the answer meets the tolerance
+or the basis spans the augmented space, where the projection is the
+operator itself. Given a solve with I - sigma A it runs shift-and-invert
+Arnoldi on the inverse of the shifted augmented operator, whose size does
+not grow with the stiffness; given only the action of A, polynomial
+Arnoldi on the augmented operator itself.
 
 A tridiagonal Toeplitz operator (TridiagonalToeplitz) has the sine matrix as
 its eigenbasis, and from SINE_TRANSFORM_MIN_N up its changes of basis are a
-DST-I formed from one complex FFT of length n+1.
+DST-I formed from one complex FFT of length n+1. Its shifted_solver factors
+I - sigma A once for the shift-and-invert route.
 """
 
 from __future__ import annotations
@@ -244,10 +248,11 @@ def arnoldi(apply_A, v: np.ndarray, m: int):
 class KrylovInfo:
     """How phi_combo_apply_krylov obtained its result: from a basis of m
     columns, 0 where no Arnoldi step ran. dense_fallback is True where the
-    basis stopped growing, full or invariant, before the error estimate met
-    the tolerance; the answer is then the projection onto it, and no dense
-    evaluation runs. The field keeps its name for the benchmark's tracer,
-    which counts such calls."""
+    basis stopped before the result met the tolerance: full, invariant or,
+    on the shift-and-invert route, stagnated (successive sizes stopped
+    closing in). The answer is then the projection onto the basis reached,
+    and no dense evaluation runs. The field keeps its name for the
+    benchmark's tracer, which counts such calls."""
 
     m: int
     dense_fallback: bool
@@ -260,19 +265,67 @@ def _combo_error_estimate(beta: float, H: np.ndarray, F: np.ndarray, k: int) -> 
 
 # Krylov subspace size at which phi_combo_apply_krylov first tests convergence.
 _KRYLOV_M0 = 8
+# Columns the shift-and-invert route adds between two of its answers.
+_SHIFT_INVERT_STEP = 4
+
+
+def _grow_basis(operator, w0: np.ndarray, next_size, answer):
+    """One Krylov basis of `operator` from w0, grown in place until `answer`
+    accepts it; returns (result, KrylovInfo).
+
+    The first _KRYLOV_M0 columns come from the public arnoldi (which the
+    benchmark's tracer times and counts), each later size next_size(m) from
+    _arnoldi_columns on the same basis. answer(V, H, k) reads the first k
+    columns and returns (result, converged, stalled). The basis stops where
+    it converged or stalled, at the full dimension w0.size, or where it
+    becomes invariant.
+    """
+    naug = w0.size
+    m = min(_KRYLOV_M0, naug)
+    Vm, Hm = arnoldi(operator, w0, m)
+    k = Vm.shape[1]
+    while True:
+        result, converged, stalled = answer(Vm, Hm, k)
+        if converged or stalled or m >= naug or k < m:  # done, full, or invariant
+            return result, KrylovInfo(k, not converged)
+        m = min(next_size(m), naug)
+        # arnoldi returns no column for the next basis vector, so the first
+        # extension recomputes column k-1. Grown V keeps that spare column.
+        j0 = k if Vm.shape[1] > k else k - 1
+        V_grown = np.zeros((naug, min(m + 1, naug)), order="F")
+        V_grown[:, : j0 + 1] = Vm[:, : j0 + 1]
+        H_grown = np.zeros((m + 1, m))
+        H_grown[: j0 + 1, :j0] = Hm[: j0 + 1, :j0]
+        Vm, Hm = V_grown, H_grown
+        k = _arnoldi_columns(operator, Vm, Hm, j0, m)
 
 
 def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
-                           return_info: bool = False):
-    """sum_{j=0}^{p} h^j phi_j(hA) v_j for V = [v_0, ..., v_p], from the
-    action apply_A alone, with error below tol (relative).
+                           return_info: bool = False, solve=None):
+    """sum_{j=0}^{p} h^j phi_j(hA) v_j for V = [v_0, ..., v_p], with error
+    below tol (relative), as the top of expm(A~) w0 for the augmented
+    operator A~ = [[hA, B], [0, J]] (B's columns h^(p-i) v_(p-i), J the
+    p x p shift) and w0 = [v_0; e_p].
 
-    Runs Arnoldi on the augmented operator and checks the standard Hessenberg
-    residual estimate at subspace sizes _KRYLOV_M0, 2*_KRYLOV_M0, ... until it
-    drops below tol. One basis is built per call: each doubling extends the
-    columns already computed rather than rebuilding them, and the basis and H
-    grow with it, so memory stays proportional to the size reached. The
-    basis stops at the full augmented dimension n + p, or where it becomes
+    Without `solve`, the polynomial route: Arnoldi on A~ from apply_A alone,
+    checking the standard Hessenberg residual estimate at subspace sizes
+    _KRYLOV_M0, 2*_KRYLOV_M0, ... until it drops below tol. On a stiff A it
+    may need the whole augmented space.
+
+    With `solve`, a callable x = (I - sigma A)^-1 y whose shift is its
+    attribute `sigma` (TridiagonalToeplitz.shifted_solver makes one), the
+    shift-and-invert route (van den Eshof & Hochbruck 2006): Arnoldi on
+    (I - gamma A~)^-1 with gamma h = sigma, each application a p x p
+    back-substitution and one solve. A~ is projected onto the basis V_m as
+    the Rayleigh quotient A_m = V_m^T A~ V_m, one apply_A per basis vector,
+    and the answer is beta V_m expm(A_m) e_1 at sizes _KRYLOV_M0,
+    _KRYLOV_M0 + _SHIFT_INVERT_STEP, ... until two successive answers agree
+    within tol, or stop closing in. Its size does not grow with the
+    stiffness. sigma and h must be positive (ValueError).
+
+    Both routes build one basis per call and extend it in place rather than
+    rebuild it, so memory stays proportional to the size reached. The basis
+    stops at the full augmented dimension n + p, or where it becomes
     invariant: the projection onto it is then the augmented operator itself
     (Saad 1992), and its answer is returned whatever the estimate reads. If
     any v_j is not finite, the result is all NaN at once, from no Arnoldi
@@ -293,6 +346,10 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
 
     if not all(np.isfinite(v).all() for v in V):
         return _done(np.full(n, np.nan), KrylovInfo(0, False))
+    h = float(h)
+    if solve is not None and not (solve.sigma > 0 and h > 0):
+        raise ValueError(f"a shifted solve needs a positive shift and step, "
+                         f"got sigma={solve.sigma} and h={h}")
     w0 = np.zeros(n + p)
     w0[:n] = V[0]
     if p > 0:
@@ -303,42 +360,58 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
 
     B = np.zeros((n, p))
     for i in range(p):
-        B[:, i] = float(h) ** (p - i) * V[p - i]
+        B[:, i] = h ** (p - i) * V[p - i]
     J = np.zeros((p, p))
     for i in range(p - 1):
         J[i, i + 1] = 1.0
 
     def aug_apply(x):
-        top = float(h) * np.asarray(apply_A(x[:n]), dtype=float)
+        top = h * np.asarray(apply_A(x[:n]), dtype=float)
         if p > 0:
             top = top + B @ x[n:]
             return np.concatenate([top, J @ x[n:]])
         return top
 
-    naug = n + p
-    m = min(_KRYLOV_M0, naug)
-    Vm, Hm = arnoldi(aug_apply, w0, m)
-    k = Vm.shape[1]
-    while True:
-        F = scipy.linalg.expm(Hm[:k, :k])
-        u = beta * (Vm[:, :k] @ F[:, 0])
-        est = _combo_error_estimate(beta, Hm, F, k)
-        scale = max(np.linalg.norm(u), 1e-30)
-        converged = est <= 0.25 * tol * scale
-        if converged or m >= naug or k < m:  # met tol, full, or invariant
-            return _done(u[:n], KrylovInfo(k, not converged))
-        m = min(2 * m, naug)
-        # Grow V and H and continue the same basis. The first block comes from
-        # the public arnoldi (which the benchmark's tracer times and counts);
-        # it returns no column for the next basis vector, so the first
-        # extension recomputes column k-1. Grown V keeps that spare column.
-        j0 = k if Vm.shape[1] > k else k - 1
-        V_grown = np.zeros((naug, min(m + 1, naug)), order="F")
-        V_grown[:, : j0 + 1] = Vm[:, : j0 + 1]
-        H_grown = np.zeros((m + 1, m))
-        H_grown[: j0 + 1, :j0] = Hm[: j0 + 1, :j0]
-        Vm, Hm = V_grown, H_grown
-        k = _arnoldi_columns(aug_apply, Vm, Hm, j0, m)
+    if solve is None:
+        def answer(Vm, Hm, k):
+            F = scipy.linalg.expm(Hm[:k, :k])
+            u = beta * (Vm[:, :k] @ F[:, 0])
+            est = _combo_error_estimate(beta, Hm, F, k)
+            return u[:n], est <= 0.25 * tol * max(np.linalg.norm(u), 1e-30), False
+
+        return _done(*_grow_basis(aug_apply, w0, lambda m: 2 * m, answer))
+
+    gamma = float(solve.sigma) / h
+    # (I - gamma J)^-1 is upper triangular with gamma^(j-i) from the diagonal up
+    idx = np.arange(p)
+    shift_inverse = np.triu(gamma ** np.maximum(idx - idx[:, None], 0))
+    gamma_B = gamma * B
+
+    def shifted(x):
+        if p == 0:
+            return solve(x)
+        bottom = shift_inverse @ x[n:]
+        return np.concatenate([solve(x[:n] + gamma_B @ bottom), bottom])
+
+    applied = []  # A~ times each basis column so far
+    previous, previous_gap = None, math.inf  # the last answer, and its gap to the one before
+
+    def answer(Vm, Hm, k):
+        nonlocal previous, previous_gap
+        applied.extend(aug_apply(Vm[:, j]) for j in range(len(applied), k))
+        Vk = Vm[:, :k]
+        F = scipy.linalg.expm(Vk.T @ np.column_stack(applied))
+        u = beta * (Vk[:n] @ F[:, 0])
+        converged = stalled = False
+        if previous is not None:
+            gap = float(np.linalg.norm(u - previous))
+            converged = gap <= tol * max(np.linalg.norm(u), 1e-30)
+            stalled = gap >= previous_gap
+            previous_gap = gap
+        previous = u
+        return u, converged, stalled
+
+    return _done(*_grow_basis(shifted, w0, lambda m: m + _SHIFT_INVERT_STEP, answer))
 
 
 # Largest working set build_phi_cache may allocate, in bytes. Above it the
@@ -403,6 +476,35 @@ class TridiagonalToeplitz:
             return np.correlate(v, self._stencil, "full")[1:-1]
         return np.correlate(v, self._stencil, "same")
 
+    def shifted_solver(self, sigma: float) -> _TridiagonalSolve:
+        """The solve x = (I - sigma A)^-1 y, for a vector y or each row of a
+        block, from one factorisation L D L^T of the symmetric tridiagonal
+        I - sigma A (LAPACK dpttrf). Raises ValueError where I - sigma A is
+        not positive definite; on the shipped problems A is negative
+        definite, so it is for every sigma >= 0."""
+        sigma = float(sigma)
+        # f2py refuses an empty off-diagonal: at n = 1 one unread entry goes in
+        d, e, info = scipy.linalg.lapack.dpttrf(np.full(self.n, 1.0 - sigma * self.a),
+                                                np.full(max(self.n - 1, 1), -sigma * self.b))
+        if info != 0 or not np.all(d > 0):  # a NaN shift factors with info 0
+            raise ValueError(f"I - sigma A is not positive definite at sigma={sigma}")
+        return _TridiagonalSolve(sigma, d, e)
+
+
+@dataclass(frozen=True, eq=False)
+class _TridiagonalSolve:
+    """x = (I - sigma A)^-1 y from the factors d, e that
+    TridiagonalToeplitz.shifted_solver formed; y is a vector or a block of rows."""
+
+    sigma: float
+    d: np.ndarray
+    e: np.ndarray
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        # a row block's transpose is the column-major right-hand side LAPACK takes
+        x, _ = scipy.linalg.lapack.dpttrs(self.d, self.e, np.asarray(y, dtype=float).T)
+        return x.T
+
 
 class _MatrixBasis:
     """Eigenvectors of a symmetric A kept as the n x n matrix Q, from `eigh`
@@ -444,10 +546,6 @@ class _SineTransform:
         self.n = n
         self.weights = _sine_fft_weights(n)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return _sine_basis(self.n)
-
     def to_basis(self, v: np.ndarray) -> np.ndarray:
         """v @ Q, each row. With N = n+1 and x = [0, v, 0 ... 0] of length 2N,
         the DST-I is -sqrt(2/N) Im(rfft(x))[1:N]. The FFT Z of length N of
@@ -488,10 +586,6 @@ class _SineFold:
         for half in self.halves:
             half.setflags(write=False)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return _sine_basis(self.n)
-
     def to_basis(self, v: np.ndarray) -> np.ndarray:
         """v @ Q, each row: row n+1-j of Q is row j with its even columns
         negated (1-based), so the odd columns are (v[:m] + v's last m
@@ -518,15 +612,16 @@ class PhiCache:
     With a `basis`, A = Q diag(lam) Q^T is symmetric and each entry is the
     read-only length-n table phi_j(c*h*lam): phi_j(c*h*A) acts on basis
     coordinates Q^T v elementwise. The basis object (see build_phi_cache)
-    changes coordinates and forms Q as its `matrix`. Without a basis, the
+    changes coordinates; only the kind from `eigh` or the small sine matrix
+    keeps Q itself, as its `matrix`. Without a basis, the
     dense kind, each entry is the read-only n x n matrix phi_j(c*h*A).
     `stacks` holds each node's entries for j = 0..kmax stacked on axis 0, one
     read-only array per node; `entries` reads them by (c, j).
     `coeff` folds a phi polynomial into one entry of the same kind: it is the
     one evaluator of scheme coefficients, for the integrator and, through
-    PhiAtMatrix, for the order-condition checker. `get` returns a phi matrix
-    in every case. `to_basis` and `from_basis` map a vector, or each row of a
-    block of vectors, between the two coordinates (the identity without a basis).
+    PhiAtMatrix, for the order-condition checker. `to_basis` and
+    `from_basis` map a vector, or each row of a block of vectors, between the
+    two coordinates (the identity without a basis).
     """
 
     kmax: int
@@ -551,16 +646,6 @@ class PhiCache:
         if not 0 <= j <= self.kmax:
             raise KeyError(f"phi cache has no entry for node {c}, index {j}")
         return self.node(c)[j]
-
-    def get(self, c: Fraction, j: int) -> np.ndarray:
-        """phi_j(c*h*A) as a read-only n x n matrix, formed on demand with a basis."""
-        entry = self.entry(c, j)
-        if self.basis is None:
-            return entry
-        Q = self.basis.matrix
-        mat = (Q * entry) @ Q.T
-        mat.setflags(write=False)
-        return mat
 
     def coeff(self, poly) -> np.ndarray:
         """sum_j w_j phi_j(c*h*A) over the (j, w) terms of a PhiPoly at node c.

@@ -37,7 +37,10 @@ __all__ = [
 @dataclass(frozen=True)
 class SemilinearProblem:
     """u' = A u + g(t, u) with optional exact solution on a 1D grid. A is a
-    TridiagonalToeplitz record, an n x n ndarray, or None (apply_A only)."""
+    TridiagonalToeplitz record, an n x n ndarray, or None (apply_A only).
+    When given, A is the matrix of apply_A: the dense path builds its phi
+    cache from it, and the matrix-free path takes its shifted solve from it
+    (A.shifted_solver, where A has one)."""
 
     name: str
     n: int

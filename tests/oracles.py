@@ -2,10 +2,13 @@
 
 Everything here deliberately avoids the library's own evaluation paths:
 phi values come from extended-precision series or closed forms, operator
-matrices entry by entry from their defining numbers, matrix
+matrices entry by entry from their defining numbers, a tridiagonal Toeplitz
+operator's phi matrices from its closed-form eigenpairs, matrix
 exponentials from a long plain series in software arbitrary precision, dense
 phi matrices also from one scipy exponential of an augmented block matrix,
 and tree invariants from explicit enumeration of labeled representatives.
+phi_matrix_from_cache turns a phi cache's stored entry into its n x n
+matrix, so that tests can hold the library's entries against these.
 The exceptions are residual_ref, the checker's recursion in its first form,
 and two of the library's set-up kernels in their first form, which its
 faster ones must match bit for bit: phi_scalar_all_series_ref, the scalar
@@ -76,6 +79,38 @@ def dense_matrix(A) -> np.ndarray:
     """The n x n array of a TridiagonalToeplitz record: a on the diagonal, b
     on both diagonals beside it, zeros elsewhere."""
     return np.diag(np.full(A.n, A.a)) + A.b * (np.eye(A.n, k=1) + np.eye(A.n, k=-1))
+
+
+def sine_matrix_ref(n: int) -> np.ndarray:
+    """The orthonormal eigenvectors of every n x n tridiagonal Toeplitz matrix,
+    Q[j, k] = sqrt(2/(n+1)) sin(jk pi/(n+1)) for j, k = 1..n, each jk reduced
+    mod 2(n+1) in integers before the sine."""
+    k = np.arange(1, n + 1)
+    return math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, k) % (2 * (n + 1)) * (np.pi / (n + 1)))
+
+
+def toeplitz_phi_ref(A, h: float, kmax: int) -> list[np.ndarray]:
+    """[phi_0(hA)..phi_kmax(hA)] of a TridiagonalToeplitz record from its
+    closed-form eigenpairs: Q diag(phi_j(h lam)) Q with Q = sine_matrix_ref(n),
+    lam_k = a + 2b cos(k pi/(n+1)) in 60 digits and phi_j from phi_ref."""
+    with mpmath.workdps(60):
+        z = [float(h * (A.a + 2 * A.b * mpmath.cos(k * mpmath.pi / (A.n + 1))))
+             for k in range(1, A.n + 1)]
+    Q = sine_matrix_ref(A.n)
+    return [(Q * [phi_ref(j, zk) for zk in z]) @ Q for j in range(kmax + 1)]
+
+
+def phi_matrix_from_cache(cache, c, j: int) -> np.ndarray:
+    """phi_j(c h A) as an n x n matrix from a PhiCache entry: the entry itself
+    without a basis, else Q diag(entry) Q^T, with Q the basis's own `matrix`
+    where it keeps one and sine_matrix_ref(n) for the sine kinds that do not."""
+    entry = cache.entry(c, j)
+    if cache.basis is None:
+        return entry
+    Q = getattr(cache.basis, "matrix", None)
+    if Q is None:
+        Q = sine_matrix_ref(entry.size)
+    return (Q * entry) @ Q.T
 
 
 def phi_augmented_ref(M: np.ndarray, kmax: int) -> list[np.ndarray]:

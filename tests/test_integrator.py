@@ -27,22 +27,22 @@ from exprk.phi import (
 )
 from exprk.problems import SemilinearProblem, error_at, make_heat1d, make_linear_decay
 from exprk.tableaus import SCHEME_NAMES, scheme_by_name
-from oracles import dense_matrix
+from oracles import dense_matrix, phi_matrix_from_cache
 
 
 def _coeff_matrix(poly, cache):
-    """sum_j w_j phi_j(c hA) for a PhiPoly at node c, summed from cache.get matrices."""
-    return sum(float(w) * cache.get(poly.c, j) for j, w in poly.terms)
+    """sum_j w_j phi_j(c hA) for a PhiPoly at node c, summed from the cache's phi matrices."""
+    return sum(float(w) * phi_matrix_from_cache(cache, poly.c, j) for j, w in poly.terms)
 
 
 def reference_integrate(scheme, problem, t0, t_end, h):
-    """The scheme one stage at a time, every coefficient a matrix from cache.get.
+    """The scheme one stage at a time, every coefficient a matrix from the cache.
 
     U_i = u + c_i h phi_1(c_i hA) F + h sum_j a_ij(hA) D_j and
     u'  = u + h phi_1(hA) F + h sum_i b_i(hA) D_i, with D_j = g(t + c_j h, U_j) - g(t, u).
     """
     cache = build_phi_cache(problem.A, h, scheme.nodes_used, max(scheme.max_phi_index, 1))
-    phi1 = {c: cache.get(c, 1) for c in scheme.nodes_used}
+    phi1 = {c: phi_matrix_from_cache(cache, c, 1) for c in scheme.nodes_used}
     a = {key: _coeff_matrix(poly, cache) for key, poly in scheme.a.items()}
     b = {i: _coeff_matrix(poly, cache) for i, poly in scheme.b.items()}
     u = np.array(problem.u0, dtype=float)
@@ -472,3 +472,64 @@ def test_krylov_path_matches_dense_path():
     dense = integrate(scheme, problem, 0.0, 1.0, 0.25).state
     krylov = integrate(scheme, problem, 0.0, 1.0, 0.25, krylov=True).state
     assert _relative_gap(krylov, dense) <= 1e-9
+
+
+def test_matrix_free_step_passes_one_shifted_solve_to_every_row(monkeypatch):
+    scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(16)
+    real_solver = TridiagonalToeplitz.shifted_solver
+    real_combo = exprk.integrator.phi_combo_apply_krylov
+    factored, solves = [], []
+
+    def counting_solver(A, sigma):
+        factored.append(sigma)
+        return real_solver(A, sigma)
+
+    def recording_combo(*args, solve=None, **kwargs):
+        solves.append(solve)
+        return real_combo(*args, solve=solve, **kwargs)
+
+    monkeypatch.setattr(TridiagonalToeplitz, "shifted_solver", counting_solver)
+    monkeypatch.setattr(exprk.integrator, "phi_combo_apply_krylov", recording_combo)
+    state = integrate(scheme, problem, 0.0, 1.0, 0.25, krylov=True).state
+    # one factorisation per step, at sigma = h/4, shared by the step's 16 rows
+    assert factored == [0.0625] * 4
+    assert len(solves) == 4 * 16 and all(s is not None for s in solves)
+    assert [len({id(s) for s in solves[16 * k : 16 * (k + 1)]}) for k in range(4)] == [1] * 4
+    # a direct step takes the same route as integrate
+    ctx = precompute(scheme, problem.apply_A, 0.25, krylov=True)
+    u = problem.u0
+    for k in range(4):
+        u = step(ctx, problem, 0.25 * k, u)
+    assert np.array_equal(u, state) and len(factored) == 8
+
+
+def test_action_without_a_record_keeps_the_polynomial_route(monkeypatch):
+    scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(16)
+    real_combo, solves = exprk.integrator.phi_combo_apply_krylov, []
+
+    def recording_combo(*args, solve=None, **kwargs):
+        solves.append(solve)
+        return real_combo(*args, solve=solve, **kwargs)
+
+    monkeypatch.setattr(exprk.integrator, "phi_combo_apply_krylov", recording_combo)
+    action_only = replace(problem, A=None)
+    krylov = integrate(scheme, action_only, 0.0, 1.0, 0.25, krylov=True).state
+    assert len(solves) == 4 * 16 and solves == [None] * len(solves)
+    dense = integrate(scheme, problem, 0.0, 1.0, 0.25).state
+    assert _relative_gap(krylov, dense) <= 1e-9
+
+
+def test_shift_and_invert_route_matches_dense_path_at_n400(monkeypatch):
+    real_combo, sizes = exprk.integrator.phi_combo_apply_krylov, []
+
+    def recording_combo(*args, **kwargs):
+        out, info = real_combo(*args, return_info=True, **kwargs)
+        sizes.append(info.m)
+        return out
+
+    monkeypatch.setattr(exprk.integrator, "phi_combo_apply_krylov", recording_combo)
+    scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(400)
+    krylov = integrate(scheme, problem, 0.0, 1.0, 1 / 32, krylov=True).state
+    dense = integrate(scheme, problem, 0.0, 1.0, 1 / 32).state
+    assert _relative_gap(krylov, dense) <= 1e-12
+    assert len(sizes) == 32 * 16 and max(sizes) <= 32

@@ -30,10 +30,12 @@ from oracles import (
     dense_matrix,
     expm_ref,
     phi_augmented_ref,
+    phi_matrix_from_cache,
     phi_matrix_series_ref,
     phi_ref,
     phi_scalar_all_series_ref,
     phi_spectral_ref,
+    toeplitz_phi_ref,
 )
 
 
@@ -414,8 +416,9 @@ class TestPhiComboApplyKrylov:
         want = _combo_ref(A, h, V)
         assert np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("route", ["polynomial", "shift-and-invert"])
     @pytest.mark.parametrize("j, bad", [(0, math.nan), (2, math.inf)])
-    def test_non_finite_input_is_nan_from_no_arnoldi_step(self, j, bad):
+    def test_non_finite_input_is_nan_from_no_arnoldi_step(self, j, bad, route):
         calls = []
 
         def apply_A(v):
@@ -424,12 +427,14 @@ class TestPhiComboApplyKrylov:
 
         V = [np.ones(8) for _ in range(3)]
         V[j][3] = bad
-        out, info = phi_combo_apply_krylov(apply_A, 0.5, V, 1e-9, return_info=True)
+        out, info = phi_combo_apply_krylov(apply_A, 0.5, V, 1e-9, return_info=True,
+                                           solve=_counting_solve(route, calls))
         assert out.shape == (8,) and np.isnan(out).all()
         assert (info.m, info.dense_fallback, calls) == (0, False, [])
 
+    @pytest.mark.parametrize("route", ["polynomial", "shift-and-invert"])
     @pytest.mark.parametrize("lengths", [(8, 7), (7, 8)])
-    def test_names_a_length_mismatch_before_any_arnoldi_step(self, lengths):
+    def test_names_a_length_mismatch_before_any_arnoldi_step(self, lengths, route):
         calls = []
 
         def apply_A(v):
@@ -438,7 +443,131 @@ class TestPhiComboApplyKrylov:
 
         V = [np.ones(k) for k in lengths]
         with pytest.raises(ValueError, match=f"got {lengths[0]} and {lengths[1]}"):
-            phi_combo_apply_krylov(apply_A, 0.1, V, 1e-9)
+            phi_combo_apply_krylov(apply_A, 0.1, V, 1e-9, solve=_counting_solve(route, calls))
+        assert calls == []
+
+
+def _counting_solve(route, calls, sigma=0.1):
+    """None for the polynomial route, else an n=8 shifted solve that counts its calls."""
+    if route == "polynomial":
+        return None
+    solve = TridiagonalToeplitz(8, -2.0, 1.0).shifted_solver(sigma)
+
+    def counted(y):
+        calls.append(1)
+        return solve(y)
+
+    counted.sigma = sigma
+    return counted
+
+
+def _heat_record(n):
+    """heat1d's operator: the Dirichlet Laplacian on n interior points."""
+    return TridiagonalToeplitz(n, -2.0 * (n + 1) ** 2, float((n + 1) ** 2))
+
+
+class TestShiftedSolver:
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 400])
+    @pytest.mark.parametrize("rows", [None, 5], ids=["vector", "block"])
+    def test_matches_a_dense_solve(self, n, rows):
+        A, sigma = _heat_record(n), 1 / 32
+        y = np.random.default_rng(38).standard_normal(n if rows is None else (rows, n))
+        y.setflags(write=False)
+        x = A.shifted_solver(sigma)(y)
+        M = np.eye(n) - sigma * dense_matrix(A)
+        want = np.linalg.solve(M, y.T).T
+        assert x.shape == y.shape
+        # 1e-14 while I - sigma A is well conditioned (up to n=64, cond 530);
+        # past that both solves err by about cond * eps (n=400: cond 2e4, 2e-14)
+        tol = max(1e-14, 1e-17 * np.linalg.cond(M))
+        assert np.linalg.norm(x - want) <= tol * np.linalg.norm(want)
+        assert np.linalg.norm(x @ M - y) <= 1e-15 * np.linalg.norm(M, 2) * np.linalg.norm(x)
+
+    def test_keeps_its_shift(self):
+        assert _heat_record(16).shifted_solver(0.25).sigma == 0.25
+
+    @pytest.mark.parametrize("sigma", [1.0, math.nan])
+    def test_raises_where_not_positive_definite(self, sigma):
+        # I - A has -1 on its diagonal; a NaN shift factors without a LAPACK error
+        with pytest.raises(ValueError, match="not positive definite"):
+            TridiagonalToeplitz(8, 2.0, 1.0).shifted_solver(sigma)
+
+
+class TestShiftInvertKrylov:
+    """phi_combo_apply_krylov given heat1d's shifted solve at sigma = tau/4."""
+
+    @staticmethod
+    def _combos(n, tau, vectors):
+        """(p, got, info, want) for p = 0..6, vectors(p) giving the p + 1 vectors."""
+        A = _heat_record(n)
+        phis = toeplitz_phi_ref(A, tau, 6)
+        solve = A.shifted_solver(tau / 4)
+        for p in range(7):
+            V = vectors(p)
+            got, info = phi_combo_apply_krylov(A.__matmul__, tau, V, 1e-10, return_info=True,
+                                               solve=solve)
+            yield p, got, info, sum(tau**j * (phis[j] @ v) for j, v in enumerate(V))
+
+    @pytest.mark.parametrize("n", [16, 64, 400])
+    @pytest.mark.parametrize("tau", [1 / 40, 1 / 8, 1])
+    def test_smooth_vectors_match_the_closed_form(self, n, tau):
+        x = np.arange(1, n + 1) / (n + 1)
+
+        def smooth(p):  # vectors like those a heat1d step passes
+            return [np.cos(j * x) + x * (1 - x) for j in range(p + 1)]
+
+        for _, got, info, want in self._combos(n, tau, smooth):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            assert info.m <= 32 and not info.dense_fallback
+
+    @pytest.mark.parametrize("n", [16, 64, 400])
+    @pytest.mark.parametrize("tau", [1 / 40, 1 / 8, 1])
+    def test_random_vectors_match_the_closed_form(self, n, tau):
+        # rough vectors converge more slowly: at n=16 and tau=1/40 the basis
+        # can fill the augmented space, and only that counts as a fallback
+        rng = np.random.default_rng(39)
+        for p, got, info, want in self._combos(n, tau, lambda p: rng.standard_normal((p + 1, n))):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            assert info.m <= 32
+            assert not info.dense_fallback or info.m == n + p
+
+    def test_one_apply_A_per_basis_vector(self):
+        n, tau = 64, 1 / 8
+        A, calls = _heat_record(n), []
+
+        def apply_A(v):
+            calls.append(1)
+            return A @ v
+
+        x = np.arange(1, n + 1) / (n + 1)
+        V = [x * (1 - x), np.ones(n), x]
+        _, info = phi_combo_apply_krylov(apply_A, tau, V, 1e-10, return_info=True,
+                                         solve=A.shifted_solver(tau / 4))
+        assert len(calls) == info.m
+
+    def test_stops_where_the_answers_stop_closing_in(self):
+        # a solve with a relative error of 1e-8 puts a floor under the gap
+        # between sizes; the basis stops there, flagged, not at n + p
+        n, tau = 400, 1 / 8
+        A = _heat_record(n)
+        exact, rng = A.shifted_solver(tau / 4), np.random.default_rng(40)
+
+        def noisy(y):
+            x = exact(y)
+            return x + 1e-8 * np.linalg.norm(x) / math.sqrt(n) * rng.standard_normal(x.shape)
+
+        noisy.sigma = exact.sigma
+        x = np.arange(1, n + 1) / (n + 1)
+        _, info = phi_combo_apply_krylov(A.__matmul__, tau, [x * (1 - x), np.ones(n)], 1e-10,
+                                         return_info=True, solve=noisy)
+        assert info.dense_fallback and info.m <= 32
+
+    @pytest.mark.parametrize("sigma, h", [(0.0, 0.1), (0.1, 0.0), (0.1, -0.1)])
+    def test_refuses_a_shift_or_step_that_is_not_positive(self, sigma, h):
+        calls = []
+        solve = _counting_solve("shift-and-invert", calls, sigma=sigma)
+        with pytest.raises(ValueError, match="positive shift and step"):
+            phi_combo_apply_krylov(lambda v: v, h, [np.ones(8)], 1e-9, solve=solve)
         assert calls == []
 
 
@@ -449,7 +578,8 @@ class TestPhiCache:
         h = 0.05
         cache = build_phi_cache(A, h, [Fraction(1)], 1)
         assert len(cache.entries) == 2
-        assert np.allclose(cache.get(1, 0), scipy.linalg.expm(h * A), rtol=1e-12, atol=1e-13)
+        assert np.allclose(phi_matrix_from_cache(cache, 1, 0), scipy.linalg.expm(h * A),
+                           rtol=1e-12, atol=1e-13)
 
     def test_exponential_invariant_at_index_zero(self):
         # symmetric operator exercises the spectral path
@@ -459,7 +589,8 @@ class TestPhiCache:
         cache = build_phi_cache(A, 0.1, [Fraction(1, 2), Fraction(1)], 2)
         for c in (Fraction(1, 2), Fraction(1)):
             want = scipy.linalg.expm(float(c) * 0.1 * A)
-            assert np.linalg.norm(cache.get(c, 0) - want) <= 1e-11 * np.linalg.norm(want)
+            got = phi_matrix_from_cache(cache, c, 0)
+            assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
     def test_spectral_path_matches_augmented_path(self):
         rng = np.random.default_rng(18)
@@ -469,14 +600,15 @@ class TestPhiCache:
         cache = build_phi_cache(A, h, [Fraction(1, 3)], 4)
         ref = phi_augmented_ref(float(Fraction(1, 3)) * h * A, 4)
         for j in range(5):
-            assert np.linalg.norm(cache.get(Fraction(1, 3), j) - ref[j]) <= 1e-11
+            got = phi_matrix_from_cache(cache, Fraction(1, 3), j)
+            assert np.linalg.norm(got - ref[j]) <= 1e-11
 
     def test_zero_operator(self):
         cache = build_phi_cache(np.zeros((4, 4)), 0.7, [Fraction(1, 2), Fraction(1)], 3)
         for c in (Fraction(1, 2), Fraction(1)):
             for j in range(4):
-                assert np.allclose(cache.get(c, j), np.eye(4) / math.factorial(j),
-                                   atol=1e-15)
+                assert np.allclose(phi_matrix_from_cache(cache, c, j),
+                                   np.eye(4) / math.factorial(j), atol=1e-15)
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(19)
@@ -490,7 +622,7 @@ class TestPhiCache:
     def test_entries_are_readonly(self):
         cache = build_phi_cache(np.zeros((3, 3)), 1.0, [Fraction(1)], 1)
         with pytest.raises(ValueError):
-            cache.get(1, 0)[0, 0] = 99.0
+            cache.entry(1, 0)[0, 0] = 99.0
 
     def test_validation(self):
         A = np.zeros((3, 3))
@@ -499,7 +631,7 @@ class TestPhiCache:
         with pytest.raises(ValueError):
             build_phi_cache(A, 1.0, [Fraction(-1, 2)], 1)
         with pytest.raises(KeyError):
-            build_phi_cache(A, 1.0, [Fraction(1)], 1).get(Fraction(1, 2), 0)
+            build_phi_cache(A, 1.0, [Fraction(1)], 1).entry(Fraction(1, 2), 0)
 
     def test_sixth_order_scheme_node_counts(self):
         from exprk.tableaus import make_exprk6s15, make_exprk6s16
@@ -521,7 +653,8 @@ class TestPhiCache:
                 table[0] = 99.0
         v = rng.standard_normal(6)
         applied = cache.from_basis(cache.entry(Fraction(1, 2), 2) * cache.to_basis(v))
-        assert np.allclose(applied, cache.get(Fraction(1, 2), 2) @ v, rtol=1e-13, atol=1e-15)
+        want = phi_matrix_from_cache(cache, Fraction(1, 2), 2) @ v
+        assert np.allclose(applied, want, rtol=1e-13, atol=1e-15)
 
     def test_budget_refuses_oversized_build(self, monkeypatch):
         import exprk.phi as phimod
@@ -573,7 +706,8 @@ def _advection_diffusion(n, velocity=20.0):
 
 def _phi_all_dense_gap(cache, A, h, c, kmax):
     ref = phi_all_dense(float(c) * h * A, kmax)
-    return max(np.linalg.norm(cache.get(c, j) - ref[j]) / max(1.0, np.linalg.norm(ref[j]))
+    return max(np.linalg.norm(phi_matrix_from_cache(cache, c, j) - ref[j])
+               / max(1.0, np.linalg.norm(ref[j]))
                for j in range(kmax + 1))
 
 
@@ -643,7 +777,7 @@ class TestClosedFormBasis:
         assert cache.basis is None and eigh_calls == []
         for c in nodes:
             for j, ref in enumerate(phi_all_dense(float(c) * h * A, 3)):
-                assert np.array_equal(cache.get(c, j), ref)
+                assert np.array_equal(phi_matrix_from_cache(cache, c, j), ref)
 
 
 class TestSineTransformPath:
@@ -678,7 +812,7 @@ class TestSineTransformPath:
         want = v @ _sine_basis(self.N)
         assert np.linalg.norm(coords - want) <= 1e-14 * np.linalg.norm(want)
 
-    def test_get_matches_phi_all_dense(self):
+    def test_tables_match_phi_all_dense(self):
         n, h = SINE_TRANSFORM_MIN_N + 1, 0.1
         A = TridiagonalToeplitz(n, -2.0, 1.0)
         cache = build_phi_cache(A, h, [Fraction(1, 3), Fraction(1)], 1)
@@ -686,7 +820,7 @@ class TestSineTransformPath:
         for c in (Fraction(1, 3), Fraction(1)):
             assert _phi_all_dense_gap(cache, dense_matrix(A), h, c, 1) <= 1e-12
         with pytest.raises(ValueError):
-            cache.get(Fraction(1), 0)[0, 0] = 99.0
+            cache.entry(Fraction(1), 0)[0] = 99.0
 
     def test_budget_follows_the_path(self, monkeypatch):
         import exprk.phi as phimod
@@ -780,7 +914,7 @@ class TestSineFoldPath:
                 half[0, 0] = 99.0
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_get_matches_the_matrix_basis(self, monkeypatch, n):
+    def test_tables_match_the_matrix_basis(self, monkeypatch, n):
         import exprk.phi as phimod
 
         cache = self._cache(n)
@@ -789,7 +923,8 @@ class TestSineFoldPath:
         assert type(plain.basis) is _MatrixBasis
         for c in self.NODES:
             for j in (0, 1):
-                assert np.max(np.abs(cache.get(c, j) - plain.get(c, j))) <= 1e-14
+                gap = phi_matrix_from_cache(cache, c, j) - phi_matrix_from_cache(plain, c, j)
+                assert np.max(np.abs(gap)) <= 1e-14
 
 
 class TestPhiSeriesOracleSuite:
