@@ -6,7 +6,6 @@ from .conditions import ConditionReport, check_scheme
 from .integrator import TrajectoryResult, integrate, precompute, step
 from .phi import (
     TridiagonalToeplitz,
-    arnoldi,
     build_phi_cache,
     phi_all_dense,
     phi_combo_apply_krylov,
@@ -34,7 +33,6 @@ __all__ = [
     "precompute",
     "step",
     "TridiagonalToeplitz",
-    "arnoldi",
     "build_phi_cache",
     "phi_all_dense",
     "phi_combo_apply_krylov",

@@ -28,14 +28,12 @@ For general A the cache holds dense phi matrices and no basis; precompute
 folds each coefficient into one n x n matrix, and a group's increments are
 one matrix-vector product of its folded matrices, laid side by side, with
 the stacked D_j.
-The matrix-free path builds no cache: each row, a stage or the update, is
-one Krylov approximation of its phi combination (phi_combo_apply_krylov).
-Where problem.A offers a `shifted_solver`, as a TridiagonalToeplitz record
-does, a step factors I - sigma A once, sigma = h/4, and every row runs the
-shift-and-invert route on that one solve: on heat1d 12 to 16 basis
-vectors per row from n=64 to n=20000. A problem that gives only an action
-keeps the polynomial route, whose basis on a stiff A can need the whole
-augmented space.
+The matrix-free path, krylov=True, builds no cache: each row, a stage or
+the update, is one shift-and-invert Krylov approximation of its phi
+combination (phi_combo_apply_krylov). problem.A must offer a
+`shifted_solver`, as a TridiagonalToeplitz record does: a step factors
+I - sigma A once, sigma = h/4, and every row runs on that one solve, with
+12 to 16 basis vectors per row on heat1d from n=64 to n=20000.
 
 A step is six rounds for exprk6s16, five groups and the update, so the
 fixed cost of a round counts as much as its arithmetic at small n. Each
@@ -189,15 +187,15 @@ class StepContext:
 def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepContext:
     """Build the phi cache (dense path) and the per-group evaluation plans.
 
-    A is a TridiagonalToeplitz record, a dense matrix or, with krylov=True, any
-    operator action; then no cache is built and stages use Krylov evaluations,
-    each step taking its shifted solve, if any, from problem.A (see `step`).
+    A is a TridiagonalToeplitz record or a dense matrix. krylov=True picks
+    the matrix-free path, where A may also be the operator action itself:
+    no cache is built, and stages use Krylov evaluations, each step taking
+    its shifted solve from problem.A (see `step`).
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
-    matrix_free = krylov or callable(A)
     cache = None
-    if not matrix_free:
+    if not krylov:
         kmax = max(scheme.max_phi_index, 1)
         cache = build_phi_cache(A, h, scheme.nodes_used, kmax)
     matrix = None if callable(A) else A
@@ -242,7 +240,7 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray, solve) -> np.nda
     the dense path the whole group is one contraction of its folded
     coefficients (a product of tables with a basis, one matrix-vector
     product without) and one basis change; matrix-free, each row is one
-    Krylov evaluation, by shift and invert on `solve` where one is given.
+    shift-and-invert Krylov evaluation on `solve`.
     The result is a new array, which `step` updates in place.
     """
     h = ctx.h
@@ -281,21 +279,25 @@ def step(ctx: StepContext, problem: SemilinearProblem, t: float,
          u: np.ndarray) -> np.ndarray:
     """One step of the scheme from (t, u); groups run in scheme order.
 
-    On the matrix-free path it first asks problem.A, if it has a
-    `shifted_solver`, for the solve with I - (h/4)A, once, and passes it to
-    every row's Krylov call. Calls problem.f(t, u) once and problem.g(t, u)
-    once, then, per group, forms the stage values from one combination and
-    calls g once per stage of the group, in stage order. Neither u nor any
-    array g returns is written to. Raises DivergenceError naming the first
-    stage, or the final update, whose values are not finite. `integrate`
-    looks this function up at each step, so a wrapper patched over it, as
-    the benchmark's tracer does, times every step.
+    On the matrix-free path it first asks problem.A's `shifted_solver` for
+    the solve with I - (h/4)A, once, and passes it to every row's Krylov
+    call; where problem.A has none, it raises ValueError before any. Calls
+    problem.f(t, u) once and problem.g(t, u) once, then, per group, forms
+    the stage values from one combination and calls g once per stage of the
+    group, in stage order. Neither u nor any array g returns is written to.
+    Raises DivergenceError naming the first stage, or the final update,
+    whose values are not finite. `integrate` looks this function up at each
+    step, so a wrapper patched over it, as the benchmark's tracer does,
+    times every step.
     """
     u = np.asarray(u, dtype=float)
     solve = None
     if ctx.cache is None:
         shifted_solver = getattr(problem.A, "shifted_solver", None)
-        solve = None if shifted_solver is None else shifted_solver(_SHIFT * ctx.h)
+        if shifted_solver is None:
+            raise ValueError("the matrix-free path needs a problem.A with a shifted_solver, "
+                             f"got {type(problem.A).__name__}")
+        solve = shifted_solver(_SHIFT * ctx.h)
     D = np.empty((ctx.scheme.s + 1, u.size))
     D[1] = ctx.to_basis(problem.f(t, u))
     gn = problem.g(t, u)
@@ -373,13 +375,14 @@ def integrate(scheme: Scheme, problem: SemilinearProblem, t0: float, t_end: floa
 
     A reused ctx must have been built for this scheme and step size, and from
     a matrix equal to problem.A or, matrix-free, from problem.apply_A itself
-    (ValueError otherwise).
+    (ValueError otherwise). krylov=True takes the matrix-free path, which
+    needs a problem.A with a shifted_solver (see `step`).
     """
     n_steps = _step_count(t0, t_end, h)
     if ctx is not None:
         _check_context(ctx, scheme, problem, h)
     else:
-        operator = problem.A if (problem.A is not None and not krylov) else problem.apply_A
+        operator = problem.apply_A if krylov else problem.A
         ctx = precompute(scheme, operator, h, krylov=krylov)
     u = np.array(problem.u0, dtype=float)
     t = t0

@@ -13,18 +13,17 @@ Scalar phi values and dense phi matrices come from one double-precision
 kernel, scaling and modified squaring (Skaflestad & Wright 2009). Scalars
 take it only below the radius where the upward recurrence from exp(z)
 becomes stable; a stiff spectrum's larger arguments, nearly all of them,
-take the recurrence alone. The matrix-free action runs Arnoldi on an
-augmented operator, growing one basis until the answer meets the tolerance
-or the basis spans the augmented space, where the projection is the
-operator itself. Given a solve with I - sigma A it runs shift-and-invert
-Arnoldi on the inverse of the shifted augmented operator, whose size does
-not grow with the stiffness; given only the action of A, polynomial
-Arnoldi on the augmented operator itself.
+take the recurrence alone. The matrix-free action takes a solve with
+I - sigma A and runs shift-and-invert Arnoldi on the inverse of the shifted
+augmented operator, whose basis size does not grow with the stiffness. It
+grows one basis until the answer meets the tolerance or the basis spans an
+invariant subspace, at most the whole augmented space, where the
+projection is the operator itself.
 
 A tridiagonal Toeplitz operator (TridiagonalToeplitz) has the sine matrix as
 its eigenbasis, and from SINE_TRANSFORM_MIN_N up its changes of basis are a
 DST-I formed from one complex FFT of length n+1. Its shifted_solver factors
-I - sigma A once for the shift-and-invert route.
+I - sigma A once for the matrix-free action.
 """
 
 from __future__ import annotations
@@ -224,8 +223,8 @@ def arnoldi(apply_A, v: np.ndarray, m: int):
     classical Gram-Schmidt applied twice (CGS2), which keeps the basis
     orthonormal to ~1e-14. Column j depends only on columns 0..j, so the
     first k columns of a larger basis are bitwise those of the k-column one;
-    phi_combo_apply_krylov relies on this to grow one basis in place of
-    rebuilding it.
+    phi_combo_apply_krylov builds its first block with it and grows that
+    basis in place of rebuilding it.
     """
     v = np.asarray(v, dtype=float)
     n = v.size
@@ -248,73 +247,33 @@ def arnoldi(apply_A, v: np.ndarray, m: int):
 class KrylovInfo:
     """How phi_combo_apply_krylov obtained its result: from a basis of m
     columns, 0 where no Arnoldi step ran. dense_fallback is True where the
-    basis stopped before the result met the tolerance: full, invariant or,
-    on the shift-and-invert route, stagnated (successive sizes stopped
-    closing in). The answer is then the projection onto the basis reached,
-    and no dense evaluation runs. The field keeps its name for the
-    benchmark's tracer, which counts such calls."""
+    basis stopped before the result met the tolerance: at the full augmented
+    dimension, or where successive sizes stopped closing in (stagnated). The
+    answer is then the projection onto the basis reached, and no dense
+    evaluation runs. A basis that becomes invariant short of the full
+    dimension gives the exact answer and is not flagged. The field keeps its
+    name for the benchmark's tracer, which counts such calls."""
 
     m: int
     dense_fallback: bool
 
 
-def _combo_error_estimate(beta: float, H: np.ndarray, F: np.ndarray, k: int) -> float:
-    """Standard a-posteriori estimate from the first neglected Krylov term."""
-    return float(beta * H[k, k - 1] * abs(F[k - 1, 0]))
-
-
 # Krylov subspace size at which phi_combo_apply_krylov first tests convergence.
 _KRYLOV_M0 = 8
-# Columns the shift-and-invert route adds between two of its answers.
+# Columns phi_combo_apply_krylov adds between two of its answers.
 _SHIFT_INVERT_STEP = 4
 
 
-def _grow_basis(operator, w0: np.ndarray, next_size, answer):
-    """One Krylov basis of `operator` from w0, grown in place until `answer`
-    accepts it; returns (result, KrylovInfo).
-
-    The first _KRYLOV_M0 columns come from the public arnoldi (which the
-    benchmark's tracer times and counts), each later size next_size(m) from
-    _arnoldi_columns on the same basis. answer(V, H, k) reads the first k
-    columns and returns (result, converged, stalled). The basis stops where
-    it converged or stalled, at the full dimension w0.size, or where it
-    becomes invariant.
-    """
-    naug = w0.size
-    m = min(_KRYLOV_M0, naug)
-    Vm, Hm = arnoldi(operator, w0, m)
-    k = Vm.shape[1]
-    while True:
-        result, converged, stalled = answer(Vm, Hm, k)
-        if converged or stalled or m >= naug or k < m:  # done, full, or invariant
-            return result, KrylovInfo(k, not converged)
-        m = min(next_size(m), naug)
-        # arnoldi returns no column for the next basis vector, so the first
-        # extension recomputes column k-1. Grown V keeps that spare column.
-        j0 = k if Vm.shape[1] > k else k - 1
-        V_grown = np.zeros((naug, min(m + 1, naug)), order="F")
-        V_grown[:, : j0 + 1] = Vm[:, : j0 + 1]
-        H_grown = np.zeros((m + 1, m))
-        H_grown[: j0 + 1, :j0] = Hm[: j0 + 1, :j0]
-        Vm, Hm = V_grown, H_grown
-        k = _arnoldi_columns(operator, Vm, Hm, j0, m)
-
-
 def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
-                           return_info: bool = False, solve=None):
+                           return_info: bool = False, *, solve):
     """sum_{j=0}^{p} h^j phi_j(hA) v_j for V = [v_0, ..., v_p], with error
     below tol (relative), as the top of expm(A~) w0 for the augmented
     operator A~ = [[hA, B], [0, J]] (B's columns h^(p-i) v_(p-i), J the
     p x p shift) and w0 = [v_0; e_p].
 
-    Without `solve`, the polynomial route: Arnoldi on A~ from apply_A alone,
-    checking the standard Hessenberg residual estimate at subspace sizes
-    _KRYLOV_M0, 2*_KRYLOV_M0, ... until it drops below tol. On a stiff A it
-    may need the whole augmented space.
-
-    With `solve`, a callable x = (I - sigma A)^-1 y whose shift is its
-    attribute `sigma` (TridiagonalToeplitz.shifted_solver makes one), the
-    shift-and-invert route (van den Eshof & Hochbruck 2006): Arnoldi on
+    `solve` is a callable x = (I - sigma A)^-1 y whose shift is its attribute
+    `sigma` (TridiagonalToeplitz.shifted_solver makes one). The action is
+    shift-and-invert Arnoldi (van den Eshof & Hochbruck 2006) on
     (I - gamma A~)^-1 with gamma h = sigma, each application a p x p
     back-substitution and one solve. A~ is projected onto the basis V_m as
     the Rayleigh quotient A_m = V_m^T A~ V_m, one apply_A per basis vector,
@@ -323,14 +282,14 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
     within tol, or stop closing in. Its size does not grow with the
     stiffness. sigma and h must be positive (ValueError).
 
-    Both routes build one basis per call and extend it in place rather than
-    rebuild it, so memory stays proportional to the size reached. The basis
-    stops at the full augmented dimension n + p, or where it becomes
-    invariant: the projection onto it is then the augmented operator itself
-    (Saad 1992), and its answer is returned whatever the estimate reads. If
-    any v_j is not finite, the result is all NaN at once, from no Arnoldi
-    step. Vectors of different lengths raise ValueError, also before any
-    step. With return_info, returns (result, KrylovInfo).
+    One basis is built per call and extended in place rather than rebuilt,
+    so memory stays proportional to the size reached. The basis stops at the
+    full augmented dimension n + p, or where it becomes invariant: the
+    projection onto it is then the augmented operator itself (Saad 1992),
+    and its answer is returned whatever the gap reads. If any v_j is not
+    finite, the result is all NaN at once, from no Arnoldi step. Vectors of
+    different lengths raise ValueError, also before any step. With
+    return_info, returns (result, KrylovInfo).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -347,13 +306,14 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
     if not all(np.isfinite(v).all() for v in V):
         return _done(np.full(n, np.nan), KrylovInfo(0, False))
     h = float(h)
-    if solve is not None and not (solve.sigma > 0 and h > 0):
+    if not (solve.sigma > 0 and h > 0):
         raise ValueError(f"a shifted solve needs a positive shift and step, "
                          f"got sigma={solve.sigma} and h={h}")
-    w0 = np.zeros(n + p)
+    naug = n + p
+    w0 = np.zeros(naug)
     w0[:n] = V[0]
     if p > 0:
-        w0[n + p - 1] = 1.0
+        w0[naug - 1] = 1.0
     beta = np.linalg.norm(w0)
     if beta == 0.0:
         return _done(np.zeros(n), KrylovInfo(0, False))
@@ -372,15 +332,6 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
             return np.concatenate([top, J @ x[n:]])
         return top
 
-    if solve is None:
-        def answer(Vm, Hm, k):
-            F = scipy.linalg.expm(Hm[:k, :k])
-            u = beta * (Vm[:, :k] @ F[:, 0])
-            est = _combo_error_estimate(beta, Hm, F, k)
-            return u[:n], est <= 0.25 * tol * max(np.linalg.norm(u), 1e-30), False
-
-        return _done(*_grow_basis(aug_apply, w0, lambda m: 2 * m, answer))
-
     gamma = float(solve.sigma) / h
     # (I - gamma J)^-1 is upper triangular with gamma^(j-i) from the diagonal up
     idx = np.arange(p)
@@ -393,11 +344,15 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
         bottom = shift_inverse @ x[n:]
         return np.concatenate([solve(x[:n] + gamma_B @ bottom), bottom])
 
+    # The first _KRYLOV_M0 columns come from the public arnoldi, which the
+    # benchmark's tracer times and counts; each later size grows the same
+    # basis by _arnoldi_columns.
+    m = min(_KRYLOV_M0, naug)
+    Vm, Hm = arnoldi(shifted, w0, m)
+    k = Vm.shape[1]
     applied = []  # A~ times each basis column so far
     previous, previous_gap = None, math.inf  # the last answer, and its gap to the one before
-
-    def answer(Vm, Hm, k):
-        nonlocal previous, previous_gap
+    while True:
         applied.extend(aug_apply(Vm[:, j]) for j in range(len(applied), k))
         Vk = Vm[:, :k]
         F = scipy.linalg.expm(Vk.T @ np.column_stack(applied))
@@ -408,10 +363,21 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
             converged = gap <= tol * max(np.linalg.norm(u), 1e-30)
             stalled = gap >= previous_gap
             previous_gap = gap
+        if converged or k < m:  # met tol, or invariant: exact
+            return _done(u, KrylovInfo(k, False))
+        if stalled or m >= naug:
+            return _done(u, KrylovInfo(k, True))
         previous = u
-        return u, converged, stalled
-
-    return _done(*_grow_basis(shifted, w0, lambda m: m + _SHIFT_INVERT_STEP, answer))
+        m = min(m + _SHIFT_INVERT_STEP, naug)
+        # arnoldi returns no column for the next basis vector, so the first
+        # extension recomputes column k-1. Grown V keeps that spare column.
+        j0 = k if Vm.shape[1] > k else k - 1
+        V_grown = np.zeros((naug, min(m + 1, naug)), order="F")
+        V_grown[:, : j0 + 1] = Vm[:, : j0 + 1]
+        H_grown = np.zeros((m + 1, m))
+        H_grown[: j0 + 1, :j0] = Hm[: j0 + 1, :j0]
+        Vm, Hm = V_grown, H_grown
+        k = _arnoldi_columns(shifted, Vm, Hm, j0, m)
 
 
 # Largest working set build_phi_cache may allocate, in bytes. Above it the

@@ -37,14 +37,14 @@ __all__ = [
 @dataclass(frozen=True)
 class SemilinearProblem:
     """u' = A u + g(t, u) with optional exact solution on a 1D grid. A is a
-    TridiagonalToeplitz record, an n x n ndarray, or None (apply_A only).
-    When given, A is the matrix of apply_A: the dense path builds its phi
-    cache from it, and the matrix-free path takes its shifted solve from it
-    (A.shifted_solver, where A has one)."""
+    TridiagonalToeplitz record or an n x n ndarray, the matrix of apply_A:
+    the dense path builds its phi cache from it, and the matrix-free path
+    takes its shifted solve from it (A.shifted_solver, which a record has
+    and an ndarray has not)."""
 
     name: str
     n: int
-    A: TridiagonalToeplitz | np.ndarray | None
+    A: TridiagonalToeplitz | np.ndarray
     apply_A: Callable[[np.ndarray], np.ndarray]
     g: Callable[[float, np.ndarray], np.ndarray]
     u0: np.ndarray

@@ -224,11 +224,12 @@ def test_entry_points_take_no_concurrency_options(option):
         exprk.build_phi_cache(problem.A, 0.25, scheme.nodes_used, 1, **{option: None})
 
 
+@pytest.mark.parametrize("krylov", [False, True], ids=["dense", "krylov"])
 @pytest.mark.parametrize("h", [1.0, 0.25])
 @pytest.mark.parametrize("name", SCHEME_NAMES)
-def test_linear_decay_is_exact_to_roundoff(name, h):
+def test_linear_decay_is_exact_to_roundoff(name, h, krylov):
     problem = make_linear_decay()
-    result = integrate(scheme_by_name(name), problem, 0.0, 1.0, h)
+    result = integrate(scheme_by_name(name), problem, 0.0, 1.0, h, krylov=krylov)
     assert error_at(problem, result.state, 1.0) <= 1e-12
 
 
@@ -503,20 +504,24 @@ def test_matrix_free_step_passes_one_shifted_solve_to_every_row(monkeypatch):
     assert np.array_equal(u, state) and len(factored) == 8
 
 
-def test_action_without_a_record_keeps_the_polynomial_route(monkeypatch):
+@pytest.mark.parametrize("operator", ["none", "ndarray"])
+def test_matrix_free_path_refuses_an_operator_without_a_shifted_solve(monkeypatch, operator):
     scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(16)
-    real_combo, solves = exprk.integrator.phi_combo_apply_krylov, []
 
-    def recording_combo(*args, solve=None, **kwargs):
-        solves.append(solve)
-        return real_combo(*args, solve=solve, **kwargs)
+    def no_krylov_call(*args, **kwargs):
+        raise AssertionError("a Krylov call ran")
 
-    monkeypatch.setattr(exprk.integrator, "phi_combo_apply_krylov", recording_combo)
-    action_only = replace(problem, A=None)
-    krylov = integrate(scheme, action_only, 0.0, 1.0, 0.25, krylov=True).state
-    assert len(solves) == 4 * 16 and solves == [None] * len(solves)
-    dense = integrate(scheme, problem, 0.0, 1.0, 0.25).state
-    assert _relative_gap(krylov, dense) <= 1e-9
+    monkeypatch.setattr(exprk.integrator, "phi_combo_apply_krylov", no_krylov_call)
+    A = None if operator == "none" else dense_matrix(problem.A)
+    with pytest.raises(ValueError, match="needs a problem.A with a shifted_solver"):
+        integrate(scheme, replace(problem, A=A), 0.0, 1.0, 0.25, krylov=True)
+
+
+def test_dense_path_takes_no_operator_action():
+    # only krylov=True picks the matrix-free path, where an action may stand for A
+    problem = make_heat1d(16)
+    with pytest.raises(TypeError):
+        precompute(scheme_by_name("exprk6s16"), problem.apply_A, 0.25)
 
 
 def test_shift_and_invert_route_matches_dense_path_at_n400(monkeypatch):

@@ -309,42 +309,39 @@ def _combo_ref(A, h, V):
     return sum(h**j * (phis[j] @ v) for j, v in enumerate(V))
 
 
-class TestPhiComboApplyKrylov:
-    def test_matches_dense_on_laplacian(self):
-        n = 64
-        A = _laplacian(n)
-        rng = np.random.default_rng(12)
-        V = [rng.standard_normal(n) for _ in range(4)]
-        h = 1e-3  # ||hA|| ~ 17
-        dense = _combo_ref(A, h, V)
-        kry = phi_combo_apply_krylov(lambda v: A @ v, h, V, 1e-9)
-        assert np.linalg.norm(kry - dense) <= 1e-9 * max(1.0, np.linalg.norm(dense))
+def _dense_solve(M, sigma, calls=None):
+    """x = (I - sigma M)^-1 y by a dense solve, with its shift as `sigma`;
+    each call is appended to `calls` where one is given."""
+    shifted = np.eye(len(M)) - sigma * M
 
-    def test_stiff_step_still_correct(self):
-        n = 64
-        A = _laplacian(n)
-        rng = np.random.default_rng(13)
-        V = [rng.standard_normal(n) for _ in range(3)]
-        h = 2e-2  # ||hA|| ~ 340; Krylov may saturate, result must stay correct
-        dense = _combo_ref(A, h, V)
-        kry = phi_combo_apply_krylov(lambda v: A @ v, h, V, 1e-9)
-        assert np.linalg.norm(kry - dense) <= 1e-9 * max(1.0, np.linalg.norm(dense))
+    def solve(y):
+        if calls is not None:
+            calls.append(1)
+        return np.linalg.solve(shifted, y)
+
+    solve.sigma = sigma
+    return solve
+
+
+class TestPhiComboApplyKrylov:
+    """phi_combo_apply_krylov on general operators, each with a dense shifted solve."""
 
     def test_single_vector_is_exponential_action(self):
         rng = np.random.default_rng(3)
         M = rng.standard_normal((5, 5))
-        u = rng.standard_normal(5)
-        got = phi_combo_apply_krylov(lambda v: M @ v, 0.3, [u, np.zeros(5), np.zeros(5)], 1e-12)
-        assert np.allclose(got, scipy.linalg.expm(0.3 * M) @ u, rtol=1e-12, atol=1e-13)
+        u, h = rng.standard_normal(5), 0.3
+        got = phi_combo_apply_krylov(lambda v: M @ v, h, [u, np.zeros(5), np.zeros(5)], 1e-12,
+                                     solve=_dense_solve(M, h / 4))
+        assert np.allclose(got, scipy.linalg.expm(h * M) @ u, rtol=1e-12, atol=1e-13)
 
     def test_zero_operator_gives_taylor_sum(self):
         # A = 0 leaves the augmented space invariant after p + 1 columns,
-        # well short of the full n + p, so the invariant exit answers
+        # well short of the full n + p: the answer is exact, not a fallback
         n, p, h = 20, 3, 0.7
         rng = np.random.default_rng(4)
         V = [rng.standard_normal(n) for _ in range(p + 1)]
-        got, info = phi_combo_apply_krylov(lambda v: np.zeros(n), h, V, 1e-12,
-                                           return_info=True)
+        got, info = phi_combo_apply_krylov(lambda v: np.zeros(n), h, V, 1e-12, return_info=True,
+                                           solve=_dense_solve(np.zeros((n, n)), h / 4))
         assert info.m <= p + 1 and not info.dense_fallback
         want = sum(h**j * V[j] / math.factorial(j) for j in range(p + 1))
         assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
@@ -358,67 +355,52 @@ class TestPhiComboApplyKrylov:
         M /= np.linalg.norm(M, 2)
         V = [rng.standard_normal(n) for _ in range(p + 1)]
         got, info = phi_combo_apply_krylov(lambda v: M @ v, h, V, 1e-10,
-                                           return_info=True)
-        assert info.m < n + p
+                                           return_info=True, solve=_dense_solve(M, h / 4))
+        assert info.m < n + p and not info.dense_fallback
         want = _combo_ref(M, h, V)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     def test_zero_vectors_give_zero(self):
         A = _laplacian(16)
-        out = phi_combo_apply_krylov(lambda v: A @ v, 0.5, [np.zeros(16)] * 3, 1e-9)
+        out = phi_combo_apply_krylov(lambda v: A @ v, 0.5, [np.zeros(16)] * 3, 1e-9,
+                                     solve=_dense_solve(A, 0.5 / 4))
         assert np.array_equal(out, np.zeros(16))
 
-    def test_zero_step_returns_first_vector(self):
-        A = _laplacian(16)
-        rng = np.random.default_rng(14)
-        V = [rng.standard_normal(16) for _ in range(3)]
-        out = phi_combo_apply_krylov(lambda v: A @ v, 0.0, V, 1e-9)
-        assert np.allclose(out, V[0], rtol=1e-12, atol=1e-13)
-
     def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            phi_combo_apply_krylov(lambda v: v, 1.0, [np.ones(4)], 0.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            phi_combo_apply_krylov(lambda v: v, 1.0, [np.ones(4)], 0.0,
+                                   solve=_dense_solve(np.eye(4), 0.25))
 
     def test_basis_grows_without_restarting(self):
-        n = 64
+        n, h = 64, 2e-3
         A = _laplacian(n)
         rng = np.random.default_rng(16)
         V = [rng.standard_normal(n) for _ in range(3)]
         calls = []
-
-        def apply_A(v):
-            calls.append(1)
-            return A @ v
-
-        out, info = phi_combo_apply_krylov(apply_A, 2e-3, V, 1e-9, return_info=True)
-        assert not info.dense_fallback and info.m == 32  # two doublings: 8, 16, 32
-        # one product per basis column, plus one: arnoldi keeps no column for
+        out, info = phi_combo_apply_krylov(lambda v: A @ v, h, V, 1e-9, return_info=True,
+                                           solve=_dense_solve(A, h / 4, calls))
+        assert not info.dense_fallback and info.m > 8  # grown past the first block
+        # one solve per basis column, plus one: arnoldi keeps no column for
         # its next vector, so the first extension recomputes its last column
         assert len(calls) == info.m + 1
-        dense = _combo_ref(A, 2e-3, V)
+        dense = _combo_ref(A, h, V)
         assert np.linalg.norm(out - dense) <= 1e-9 * np.linalg.norm(dense)
 
-    def test_saturated_call_answers_from_the_full_space(self, monkeypatch):
-        # an estimate that never meets tol makes the basis fill the augmented
-        # space; the projection onto it is then the operator itself
-        import exprk.phi as phimod
-
-        monkeypatch.setattr(phimod, "_combo_error_estimate",
-                            lambda beta, H, F, k: math.inf)
-        n, h, p = 64, 1 / 8, 4  # heat1d's A at the matrix-free benchmark's setting
+    def test_small_call_answers_from_the_full_space(self):
+        # n + p below the first block's 8 columns: the first basis fills the
+        # augmented space, flagged, and the projection onto it is the operator
+        n, h, p = 4, 1 / 8, 3
         A = _laplacian(n)
         rng = np.random.default_rng(15)
         V = [rng.standard_normal(n) for _ in range(p + 1)]
-        out, info = phimod.phi_combo_apply_krylov(
-            lambda v: A @ v, h, V, 1e-9, return_info=True
-        )
+        out, info = phi_combo_apply_krylov(lambda v: A @ v, h, V, 1e-9, return_info=True,
+                                           solve=_dense_solve(A, h / 4))
         assert info.dense_fallback and info.m == n + p
         want = _combo_ref(A, h, V)
         assert np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("route", ["polynomial", "shift-and-invert"])
     @pytest.mark.parametrize("j, bad", [(0, math.nan), (2, math.inf)])
-    def test_non_finite_input_is_nan_from_no_arnoldi_step(self, j, bad, route):
+    def test_non_finite_input_is_nan_from_no_arnoldi_step(self, j, bad):
         calls = []
 
         def apply_A(v):
@@ -428,13 +410,12 @@ class TestPhiComboApplyKrylov:
         V = [np.ones(8) for _ in range(3)]
         V[j][3] = bad
         out, info = phi_combo_apply_krylov(apply_A, 0.5, V, 1e-9, return_info=True,
-                                           solve=_counting_solve(route, calls))
+                                           solve=_dense_solve(np.eye(8), 0.1, calls))
         assert out.shape == (8,) and np.isnan(out).all()
         assert (info.m, info.dense_fallback, calls) == (0, False, [])
 
-    @pytest.mark.parametrize("route", ["polynomial", "shift-and-invert"])
     @pytest.mark.parametrize("lengths", [(8, 7), (7, 8)])
-    def test_names_a_length_mismatch_before_any_arnoldi_step(self, lengths, route):
+    def test_names_a_length_mismatch_before_any_arnoldi_step(self, lengths):
         calls = []
 
         def apply_A(v):
@@ -443,22 +424,13 @@ class TestPhiComboApplyKrylov:
 
         V = [np.ones(k) for k in lengths]
         with pytest.raises(ValueError, match=f"got {lengths[0]} and {lengths[1]}"):
-            phi_combo_apply_krylov(apply_A, 0.1, V, 1e-9, solve=_counting_solve(route, calls))
+            phi_combo_apply_krylov(apply_A, 0.1, V, 1e-9,
+                                   solve=_dense_solve(np.eye(8), 0.1, calls))
         assert calls == []
 
-
-def _counting_solve(route, calls, sigma=0.1):
-    """None for the polynomial route, else an n=8 shifted solve that counts its calls."""
-    if route == "polynomial":
-        return None
-    solve = TridiagonalToeplitz(8, -2.0, 1.0).shifted_solver(sigma)
-
-    def counted(y):
-        calls.append(1)
-        return solve(y)
-
-    counted.sigma = sigma
-    return counted
+    def test_requires_a_shifted_solve(self):
+        with pytest.raises(TypeError, match="solve"):
+            phi_combo_apply_krylov(lambda v: v, 0.1, [np.ones(8)], 1e-9)
 
 
 def _heat_record(n):
@@ -565,7 +537,7 @@ class TestShiftInvertKrylov:
     @pytest.mark.parametrize("sigma, h", [(0.0, 0.1), (0.1, 0.0), (0.1, -0.1)])
     def test_refuses_a_shift_or_step_that_is_not_positive(self, sigma, h):
         calls = []
-        solve = _counting_solve("shift-and-invert", calls, sigma=sigma)
+        solve = _dense_solve(np.eye(8), sigma, calls)
         with pytest.raises(ValueError, match="positive shift and step"):
             phi_combo_apply_krylov(lambda v: v, h, [np.ones(8)], 1e-9, solve=solve)
         assert calls == []
