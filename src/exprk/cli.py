@@ -176,13 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, problem=True):
+    def add_common(p):
         p.add_argument("--scheme", required=True, choices=SCHEME_NAMES)
-        if problem:
-            p.add_argument("--problem", default="heat1d",
-                           choices=sorted(PROBLEM_FACTORIES))
-            p.add_argument("--n", type=int, default=200,
-                           help="interior grid points (default 200)")
+        p.add_argument("--problem", default="heat1d", choices=sorted(PROBLEM_FACTORIES))
+        p.add_argument("--n", type=int, default=200, help="interior grid points (default 200)")
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     p_check = sub.add_parser("check", help="verify stiff order conditions")

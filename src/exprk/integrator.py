@@ -19,11 +19,9 @@ are one contraction of its stacked tables with the stacked D_j, and one
 basis change brings the group back; the group's D_j go into the basis
 with one more. That is 12 basis changes per exprk6s16 step: one for F, two
 per group and one for the update. The cache's basis object makes them:
-products with the eigenvector matrix Q, or for a phi.TridiagonalToeplitz A
-from phi.SINE_FOLD_MIN_N up two products with halves of the sine matrix Q,
-half the multiply-adds, and from phi.SINE_TRANSFORM_MIN_N up an
-O(n log n) sine transform that stores no Q: a DST-I formed from one
-complex FFT of length n+1.
+products with the eigenvector matrix Q from `eigh`, or what an operator
+record's `eigen()` picks (phi.TridiagonalToeplitz.eigen: the sine matrix Q,
+its halves, or an O(n log n) sine transform that stores no Q).
 For general A the cache holds dense phi matrices and no basis; precompute
 folds each coefficient into one n x n matrix, and a group's increments are
 one matrix-vector product of its folded matrices, laid side by side, with
@@ -57,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phi import PhiCache, TridiagonalToeplitz, build_phi_cache, phi_combo_apply_krylov
+from .phi import PhiCache, build_phi_cache, phi_combo_apply_krylov
 from .problems import SemilinearProblem
 from .tableaus import PhiPoly, Scheme
 
@@ -157,17 +155,16 @@ def _stack(cache: PhiCache, n: int, polys: list) -> np.ndarray:
 class StepContext:
     """Everything reusable across steps for one (scheme, operator, h).
 
-    `A` is the record or matrix the context was built from, or None when
-    only an operator action was given, whose size is then not known.
+    `A` is what precompute was given: a record or a matrix, or on the
+    matrix-free path (no cache) possibly an operator action.
     """
 
     scheme: Scheme
     h: float
     cache: PhiCache | None
-    apply_A: object
+    A: object
     groups: tuple
     update: _Group
-    A: np.ndarray | None = None
 
     @property
     def stage_plans(self) -> dict:
@@ -187,19 +184,21 @@ class StepContext:
 def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepContext:
     """Build the phi cache (dense path) and the per-group evaluation plans.
 
-    A is a TridiagonalToeplitz record or a dense matrix. krylov=True picks
-    the matrix-free path, where A may also be the operator action itself:
-    no cache is built, and stages use Krylov evaluations, each step taking
-    its shifted solve from problem.A (see `step`).
+    A is an operator record with `eigen()`, such as TridiagonalToeplitz, or
+    a dense matrix. krylov=True picks the matrix-free path, where A may also
+    be the operator action itself: no cache is built, and each step applies
+    problem.apply_A and takes its shifted solve from problem.A (see `step`).
+    An action without krylov=True is a TypeError, raised before any build.
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     cache = None
     if not krylov:
+        if callable(A):
+            raise TypeError("the dense path needs a record or a matrix, not an operator "
+                            "action; pass krylov=True for the matrix-free path")
         kmax = max(scheme.max_phi_index, 1)
         cache = build_phi_cache(A, h, scheme.nodes_used, kmax)
-    matrix = None if callable(A) else A
-    apply_A = A if matrix is None else (lambda v: A @ v)
 
     def group(stages: tuple) -> _Group:
         nodes, polys = zip(*(scheme.rows[i] for i in stages))
@@ -215,9 +214,9 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepCont
         return _Group(stages=stages, index=np.array(stages), plans=plans,
                       reads=np.array(reads), tables=tables)
 
-    return StepContext(scheme=scheme, h=float(h), cache=cache, apply_A=apply_A,
+    return StepContext(scheme=scheme, h=float(h), cache=cache, A=A,
                        groups=tuple(group(g) for g in scheme.groups),
-                       update=group((scheme.s + 1,)), A=matrix)
+                       update=group((scheme.s + 1,)))
 
 
 def _combo_vectors(h_eff: float, h: float, F: np.ndarray, rows, D) -> list:
@@ -232,7 +231,7 @@ def _combo_vectors(h_eff: float, h: float, F: np.ndarray, rows, D) -> list:
     return vs
 
 
-def _increments(ctx: StepContext, group: _Group, D: np.ndarray, solve) -> np.ndarray:
+def _increments(ctx: StepContext, group: _Group, D: np.ndarray, apply_A, solve) -> np.ndarray:
     """h (c_i phi_1(c_i hA) F + sum_j a_ij(hA) D_j), one row per row of the group.
 
     D[1] holds F and D[j] stage j's increment, in the cache's basis
@@ -240,7 +239,7 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray, solve) -> np.nda
     the dense path the whole group is one contraction of its folded
     coefficients (a product of tables with a basis, one matrix-vector
     product without) and one basis change; matrix-free, each row is one
-    shift-and-invert Krylov evaluation on `solve`.
+    shift-and-invert Krylov evaluation on `apply_A` and `solve`.
     The result is a new array, which `step` updates in place.
     """
     h = ctx.h
@@ -259,7 +258,7 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray, solve) -> np.nda
     for plan in group.plans:
         h_eff = plan.c * h
         vs = _combo_vectors(h_eff, h, D[1], plan.rows, D)
-        rows.append(phi_combo_apply_krylov(ctx.apply_A, h_eff, vs, KRYLOV_TOL, solve=solve))
+        rows.append(phi_combo_apply_krylov(apply_A, h_eff, vs, KRYLOV_TOL, solve=solve))
     return np.stack(rows)
 
 
@@ -280,15 +279,15 @@ def step(ctx: StepContext, problem: SemilinearProblem, t: float,
     """One step of the scheme from (t, u); groups run in scheme order.
 
     On the matrix-free path it first asks problem.A's `shifted_solver` for
-    the solve with I - (h/4)A, once, and passes it to every row's Krylov
-    call; where problem.A has none, it raises ValueError before any. Calls
-    problem.f(t, u) once and problem.g(t, u) once, then, per group, forms
-    the stage values from one combination and calls g once per stage of the
-    group, in stage order. Neither u nor any array g returns is written to.
-    Raises DivergenceError naming the first stage, or the final update,
-    whose values are not finite. `integrate` looks this function up at each
-    step, so a wrapper patched over it, as the benchmark's tracer does,
-    times every step.
+    the solve with I - (h/4)A, once, and passes it with problem.apply_A to
+    every row's Krylov call; where problem.A has none, it raises ValueError
+    before any. Calls problem.f(t, u) once and problem.g(t, u) once, then,
+    per group, forms the stage values from one combination and calls g once
+    per stage of the group, in stage order. Neither u nor any array g
+    returns is written to. Raises DivergenceError naming the first stage, or
+    the final update, whose values are not finite. `integrate` looks this
+    function up at each step, so a wrapper patched over it, as the
+    benchmark's tracer does, times every step.
     """
     u = np.asarray(u, dtype=float)
     solve = None
@@ -302,7 +301,7 @@ def step(ctx: StepContext, problem: SemilinearProblem, t: float,
     D[1] = ctx.to_basis(problem.f(t, u))
     gn = problem.g(t, u)
     for group in ctx.groups:
-        U = _increments(ctx, group, D, solve)
+        U = _increments(ctx, group, D, problem.apply_A, solve)
         U += u
         _check_finite(U, group.stages)
         G = np.empty_like(U)
@@ -311,7 +310,7 @@ def step(ctx: StepContext, problem: SemilinearProblem, t: float,
         G -= gn
         _check_finite(G, group.stages)
         D[group.index] = ctx.to_basis(G)
-    u_next = _increments(ctx, ctx.update, D, solve)
+    u_next = _increments(ctx, ctx.update, D, problem.apply_A, solve)
     u_next += u
     _check_finite(u_next, (None,))
     return u_next[0]
@@ -325,16 +324,18 @@ def _check_context(ctx: StepContext, scheme: Scheme, problem: SemilinearProblem,
                          f"not {scheme.name}")
     if ctx.h != float(h):
         raise ValueError(f"step context was built for step {ctx.h}, not {h}")
-    if ctx.A is not None and np.shape(ctx.A)[0] != np.size(problem.u0):
-        raise ValueError(f"step context was built for an operator of size "
-                         f"{np.shape(ctx.A)[0]}, not {np.size(problem.u0)}")
-    # the identity tests first: a context reused for its own problem costs nothing
-    if ctx.A is None:
-        if ctx.apply_A is not problem.apply_A:
+    if callable(ctx.A):  # an action, whose size is not known
+        if ctx.A is not problem.apply_A:
             raise ValueError("step context was built from another operator action; "
                              "build it from this problem's apply_A")
-    elif not (problem.A is ctx.A or (ctx.A == problem.A if isinstance(ctx.A, TridiagonalToeplitz)
-                                     else np.array_equal(problem.A, ctx.A))):
+    elif np.shape(ctx.A)[0] != np.size(problem.u0):
+        raise ValueError(f"step context was built for an operator of size "
+                         f"{np.shape(ctx.A)[0]}, not {np.size(problem.u0)}")
+    # the identity test first: a context reused for its own problem costs nothing;
+    # a matrix on either side is compared as an array, two records by their ==
+    elif problem.A is not ctx.A and not (
+            np.array_equal(problem.A, ctx.A) if isinstance(ctx.A, np.ndarray)
+            or isinstance(problem.A, np.ndarray) else ctx.A == problem.A):
         raise ValueError("step context was built for another matrix than problem.A")
 
 
@@ -370,20 +371,25 @@ def _step_count(t0: float, t_end: float, h: float) -> int:
 
 def integrate(scheme: Scheme, problem: SemilinearProblem, t0: float, t_end: float,
               h: float, *, ctx: StepContext | None = None,
-              krylov: bool = False) -> TrajectoryResult:
+              krylov: bool | None = None) -> TrajectoryResult:
     """Fixed-step integration of the problem over [t0, t_end].
 
     A reused ctx must have been built for this scheme and step size, and from
     a matrix equal to problem.A or, matrix-free, from problem.apply_A itself
     (ValueError otherwise). krylov=True takes the matrix-free path, which
-    needs a problem.A with a shifted_solver (see `step`).
+    needs a problem.A with a shifted_solver (see `step`). krylov=None takes
+    ctx's path, or the dense one without a ctx; a krylov that contradicts
+    ctx's path is a ValueError, raised before any step.
     """
     n_steps = _step_count(t0, t_end, h)
     if ctx is not None:
         _check_context(ctx, scheme, problem, h)
+        if krylov is not None and krylov != (ctx.cache is None):
+            raise ValueError(f"krylov={krylov}, but the step context was built with "
+                             f"krylov={ctx.cache is None}")
     else:
         operator = problem.apply_A if krylov else problem.A
-        ctx = precompute(scheme, operator, h, krylov=krylov)
+        ctx = precompute(scheme, operator, h, krylov=bool(krylov))
     u = np.array(problem.u0, dtype=float)
     t = t0
     for k in range(n_steps):

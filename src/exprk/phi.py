@@ -20,10 +20,10 @@ grows one basis until the answer meets the tolerance or the basis spans an
 invariant subspace, at most the whole augmented space, where the
 projection is the operator itself.
 
-A tridiagonal Toeplitz operator (TridiagonalToeplitz) has the sine matrix as
-its eigenbasis, and from SINE_TRANSFORM_MIN_N up its changes of basis are a
-DST-I formed from one complex FFT of length n+1. Its shifted_solver factors
-I - sigma A once for the matrix-free action.
+An operator record owns its diagonalisation: eigen() gives its eigenvalues
+and a basis object. TridiagonalToeplitz's basis is the sine matrix, from
+SINE_TRANSFORM_MIN_N up a DST-I formed from one complex FFT of length n+1.
+Its shifted_solver factors I - sigma A once for the matrix-free action.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ def phi_scalar_all(kmax: int, z: np.ndarray) -> np.ndarray:
 
 
 def _as_square_matrix(M) -> np.ndarray:
-    if isinstance(M, TridiagonalToeplitz):
-        raise ValueError("expected a dense matrix, got a TridiagonalToeplitz record; "
+    if hasattr(M, "eigen") and not isinstance(M, np.ndarray):
+        raise ValueError(f"expected a dense matrix, got a {type(M).__name__} record; "
                          "pass its dense n x n ndarray instead")
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -423,7 +423,7 @@ def _sine_fft_weights(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class TridiagonalToeplitz:
     """The n x n matrix with a on its diagonal, b on both diagonals beside it
     and zeros elsewhere, kept as those three numbers. `A @ v` is the
-    three-point stencil; build_phi_cache takes its eigenpairs in closed form."""
+    three-point stencil; eigen() gives its eigenpairs in closed form."""
 
     n: int
     a: float
@@ -436,6 +436,20 @@ class TridiagonalToeplitz:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
+
+    def eigen(self) -> tuple[np.ndarray, _MatrixBasis | _SineFold | _SineTransform]:
+        """(lam, basis): the eigenvalues a + 2b cos(k pi/(n+1)), k = 1..n, and the
+        sine eigenvectors Q (_sine_basis) in the same order, as a basis object.
+        lam is evaluated as (a + 2b) - 4b sin^2(k pi/(2(n+1))), which does not
+        cancel where |lam_k| is small next to |b|, as for a Laplacian's smooth
+        modes. The basis keeps Q below SINE_FOLD_MIN_N, from there only the
+        halves of Q that _SineFold multiplies by, and from SINE_TRANSFORM_MIN_N
+        up no Q, changing basis by the sine transform."""
+        n, a, b = self.n, self.a, self.b
+        k = np.arange(1, n + 1)
+        lam = (a + 2.0 * b) - 4.0 * b * np.sin(k * (np.pi / (2 * (n + 1)))) ** 2
+        return lam, (_SineTransform(n) if n >= SINE_TRANSFORM_MIN_N else _SineFold(n)
+                     if n >= SINE_FOLD_MIN_N else _MatrixBasis(_sine_basis(n)))
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         if self.n < 3:  # "same" would pad the result to length 3
@@ -577,10 +591,10 @@ class PhiCache:
 
     With a `basis`, A = Q diag(lam) Q^T is symmetric and each entry is the
     read-only length-n table phi_j(c*h*lam): phi_j(c*h*A) acts on basis
-    coordinates Q^T v elementwise. The basis object (see build_phi_cache)
-    changes coordinates; only the kind from `eigh` or the small sine matrix
-    keeps Q itself, as its `matrix`. Without a basis, the
-    dense kind, each entry is the read-only n x n matrix phi_j(c*h*A).
+    coordinates Q^T v elementwise. The basis object, from `eigh` or a
+    record's `eigen()`, changes coordinates; only a _MatrixBasis keeps Q
+    itself, as its `matrix`. Without a basis, the dense kind, each entry is
+    the read-only n x n matrix phi_j(c*h*A).
     `stacks` holds each node's entries for j = 0..kmax stacked on axis 0, one
     read-only array per node; `entries` reads them by (c, j).
     `coeff` folds a phi polynomial into one entry of the same kind: it is the
@@ -592,7 +606,7 @@ class PhiCache:
 
     kmax: int
     stacks: dict = field(default_factory=dict)
-    basis: _MatrixBasis | _SineTransform | _SineFold | None = None
+    basis: object | None = None
 
     @property
     def entries(self) -> dict:
@@ -637,31 +651,19 @@ class PhiCache:
         return v if self.basis is None else self.basis.from_basis(v)
 
 
-def _estimate_cache_bytes(n: int, nodes: int, kmax: int, symmetric: bool,
-                          transform: bool) -> int:
-    """Bytes the build holds at its peak, roughly."""
-    if transform:
-        # the tables alone: the basis is never formed
+def _estimate_cache_bytes(n: int, nodes: int, kmax: int, kind: str) -> int:
+    """Bytes the build holds at its peak, roughly; kind: record, symmetric or general."""
+    if kind == "record":
+        # the tables: a record's basis build is at most about 4 MiB (the sine
+        # matrix and its index array below SINE_TRANSFORM_MIN_N)
         return nodes * (kmax + 1) * n * 8
-    if symmetric:
-        # A, the eigenvectors, and the eigh workspace or the sine index array;
-        # the fold's two halves hold n*n/2 doubles, not the whole basis
+    if kind == "symmetric":
+        # A, the eigenvectors and the eigh workspace
         return 3 * n * n * 8
     # every node's entries, and one phi_all_dense: its argument c*h*A, one
     # temporary, and the _SERIES_TERMS powers or 2(kmax+1) squaring arrays
     # (tracemalloc, 5 nodes at n=200: 61.03 n*n*8 bytes at kmax 6)
     return (nodes * (kmax + 1) + 2 + max(_SERIES_TERMS, 2 * (kmax + 1))) * n * n * 8
-
-
-def _sine_eigenvalues(A: TridiagonalToeplitz) -> np.ndarray:
-    """Eigenvalues of A, in the order of _sine_basis.
-
-    lam_k = a + 2b cos(k pi/(n+1)) is evaluated as
-    (a + 2b) - 4b sin^2(k pi/(2(n+1))), which does not cancel where |lam_k| is
-    small next to |b|, as for the smooth modes of a Laplacian.
-    """
-    k = np.arange(1, A.n + 1)
-    return (A.a + 2.0 * A.b) - 4.0 * A.b * np.sin(k * (np.pi / (2 * (A.n + 1)))) ** 2
 
 
 def _sine_basis(n: int, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
@@ -682,23 +684,20 @@ def _sine_basis(n: int, rows: slice = slice(None), cols: slice = slice(None)) ->
 def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
     """phi_0..phi_kmax(c*h*A) for every node c, computed once per (A, h).
 
-    A's type picks the kind of cache. A symmetric A = Q diag(lam) Q^T stores
+    A's kind picks the kind of cache. A symmetric A = Q diag(lam) Q^T stores
     phi_j(c*h*lam) as a length-n table per (c, j), O(n) per entry and more
     accurate for the stiff discrete Laplacians this cache exists for, and
-    one basis object. A TridiagonalToeplitz record's eigenpairs are known in
-    closed form (_sine_eigenvalues, _sine_basis): below SINE_FOLD_MIN_N its
-    basis keeps the sine matrix Q, from there only the halves of Q that
-    _SineFold multiplies by, and from SINE_TRANSFORM_MIN_N up no Q, changing
-    basis by the sine transform. An exactly symmetric ndarray keeps the Q
-    from `eigh`. Any other ndarray stores one dense matrix per (c, j) from
-    phi_all_dense, one node at a time, and no basis.
+    one basis object. An operator record with an `eigen()` method, such as
+    TridiagonalToeplitz, gives (lam, basis) itself. An exactly symmetric
+    ndarray keeps the Q from `eigh`. Any other ndarray stores one dense
+    matrix per (c, j) from phi_all_dense, one node at a time, and no basis.
 
     Raises ValueError, before allocating, if kmax < 0 or if the estimated
     peak memory of the build exceeds CACHE_BUDGET_BYTES; later, if an entry
     of c*h*A (general A) or of c*h*lam is not finite.
     """
-    toeplitz = isinstance(A, TridiagonalToeplitz)
-    A = A if toeplitz else _as_square_matrix(A)
+    eigen = getattr(A, "eigen", None)
+    A = A if eigen else _as_square_matrix(A)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     if not math.isfinite(float(h)):
@@ -710,9 +709,8 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
         raise ValueError("cache nodes must be positive")
 
     n = A.shape[0]
-    symmetric = toeplitz or np.array_equal(A, A.T)
-    transform = toeplitz and n >= SINE_TRANSFORM_MIN_N
-    estimate = _estimate_cache_bytes(n, len(nodes), kmax, symmetric, transform)
+    kind = "record" if eigen else "symmetric" if np.array_equal(A, A.T) else "general"
+    estimate = _estimate_cache_bytes(n, len(nodes), kmax, kind)
     if estimate > CACHE_BUDGET_BYTES:
         raise ValueError(
             f"phi cache for n={n} with {len(nodes) * (kmax + 1)} entries needs about "
@@ -721,16 +719,14 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
         )
 
     cache = PhiCache(kmax=kmax)
-    if toeplitz:
-        lam = _sine_eigenvalues(A)
-        cache.basis = (_SineTransform(n) if transform else _SineFold(n) if n >= SINE_FOLD_MIN_N
-                       else _MatrixBasis(_sine_basis(n)))
-    elif symmetric:
+    if eigen:
+        lam, cache.basis = eigen()
+    elif kind == "symmetric":
         lam, Q = np.linalg.eigh(A)
         cache.basis = _MatrixBasis(Q)
     for c in nodes:
-        stack = (phi_scalar_all(kmax, float(c) * float(h) * lam) if symmetric
-                 else phi_all_dense(float(c) * float(h) * A, kmax))
+        stack = (phi_all_dense(float(c) * float(h) * A, kmax) if kind == "general"
+                 else phi_scalar_all(kmax, float(c) * float(h) * lam))
         stack.setflags(write=False)
         cache.stacks[c] = stack
     return cache

@@ -36,11 +36,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SemilinearProblem:
-    """u' = A u + g(t, u) with optional exact solution on a 1D grid. A is a
-    TridiagonalToeplitz record or an n x n ndarray, the matrix of apply_A:
-    the dense path builds its phi cache from it, and the matrix-free path
-    takes its shifted solve from it (A.shifted_solver, which a record has
-    and an ndarray has not)."""
+    """u' = A u + g(t, u) with optional exact solution on a 1D grid. A is an
+    operator record such as TridiagonalToeplitz, or an n x n ndarray, the
+    matrix of apply_A: the dense path builds its phi cache from it (from a
+    record's eigen()), and the matrix-free path takes its shifted solve from
+    it (A.shifted_solver, which a TridiagonalToeplitz has and an ndarray has not)."""
 
     name: str
     n: int

@@ -1,11 +1,12 @@
 """Fixed-step integrator: agreement with a stage-by-stage reference, order,
 reproducibility, exactness on linear decay and the error paths."""
 
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from exprk.phi import (
     _SineFold,
     _SineTransform,
     build_phi_cache,
+    phi_all_dense,
 )
 from exprk.problems import SemilinearProblem, error_at, make_heat1d, make_linear_decay
 from exprk.tableaus import SCHEME_NAMES, scheme_by_name
@@ -520,8 +522,74 @@ def test_matrix_free_path_refuses_an_operator_without_a_shifted_solve(monkeypatc
 def test_dense_path_takes_no_operator_action():
     # only krylov=True picks the matrix-free path, where an action may stand for A
     problem = make_heat1d(16)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="krylov=True"):
         precompute(scheme_by_name("exprk6s16"), problem.apply_A, 0.25)
+
+
+@pytest.mark.parametrize("built_krylov", [False, True], ids=["dense-ctx", "krylov-ctx"])
+def test_integrate_takes_the_contexts_path(monkeypatch, built_krylov):
+    scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(16)
+    ctx = precompute(scheme, problem.apply_A if built_krylov else problem.A, 0.25,
+                     krylov=built_krylov)
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exprk.integrator, "step", no_step)
+        with pytest.raises(ValueError, match=f"krylov={not built_krylov}, but the step "
+                                             f"context was built with krylov={built_krylov}"):
+            integrate(scheme, problem, 0.0, 1.0, 0.25, ctx=ctx, krylov=not built_krylov)
+    # no krylov, as the benchmark calls it, or the matching one: the context's path
+    fresh = integrate(scheme, problem, 0.0, 1.0, 0.25, krylov=built_krylov).state
+    for krylov in (None, built_krylov):
+        reused = integrate(scheme, problem, 0.0, 1.0, 0.25, ctx=ctx, krylov=krylov).state
+        assert np.array_equal(reused, fresh)
+
+
+@dataclass(frozen=True)
+class ScaledIdentity:
+    """a times the n x n identity: an operator record kind that only this
+    test module defines, with the shape, product and eigen() of a record."""
+
+    n: int
+    a: float
+
+    @property
+    def shape(self):
+        return (self.n, self.n)
+
+    def __matmul__(self, v):
+        return self.a * v
+
+    def eigen(self):
+        return np.full(self.n, self.a), _MatrixBasis(np.eye(self.n))
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_a_record_kind_defined_outside_the_package_runs(name):
+    n, a, h = 6, -5.0, 0.25
+    scheme, A = scheme_by_name(name), ScaledIdentity(n, a)
+    u0 = np.linspace(0.1, 0.6, n)
+    problem = SemilinearProblem(name="scaled", n=n, A=A, apply_A=A.__matmul__,
+                                g=lambda t, u: np.zeros_like(u), u0=u0, dx=1.0 / (n + 1))
+    cache = build_phi_cache(A, h, [Fraction(1)], 2)
+    assert type(cache.basis) is _MatrixBasis
+    assert np.allclose(phi_matrix_from_cache(cache, Fraction(1), 2),
+                       phi_all_dense(h * a * np.eye(n), 2)[2], rtol=1e-14, atol=0)
+    state = integrate(scheme, problem, 0.0, 1.0, h, ctx=precompute(scheme, A, h)).state
+    assert _relative_gap(state, math.exp(a) * u0) <= 1e-13
+    # an equal but separate record is accepted, bitwise; another is refused
+    equal = precompute(scheme, ScaledIdentity(n, a), h)
+    assert np.array_equal(integrate(scheme, problem, 0.0, 1.0, h, ctx=equal).state, state)
+    other = precompute(scheme, ScaledIdentity(n, -4.0), h)
+    with pytest.raises(ValueError, match="another matrix than problem.A"):
+        integrate(scheme, problem, 0.0, 1.0, h, ctx=other)
+    # and a record is not its dense matrix, on either side
+    dense = replace(problem, A=a * np.eye(n))
+    for ctx, run in ((equal, dense), (precompute(scheme, dense.A, h), problem)):
+        with pytest.raises(ValueError, match="another matrix than problem.A"):
+            integrate(scheme, run, 0.0, 1.0, h, ctx=ctx)
 
 
 def test_shift_and_invert_route_matches_dense_path_at_n400(monkeypatch):
