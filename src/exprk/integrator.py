@@ -28,7 +28,8 @@ one matrix-vector product of its folded matrices, laid side by side, with
 the stacked D_j.
 The matrix-free path, krylov=True, builds no cache: each row, a stage or
 the update, is one shift-and-invert Krylov approximation of its phi
-combination (phi_combo_apply_krylov). problem.A must offer a
+combination (phi_combo_apply_krylov) on W @ D[reads], W the coefficients
+the dense path folds, as phi weights. problem.A must offer a
 `shifted_solver`, as a TridiagonalToeplitz record does: a step factors
 I - sigma A once, sigma = h/4, and every row runs on that one solve, with
 12 to 16 basis vectors per row on heat1d from n=64 to n=20000.
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,43 +94,30 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class _Plan:
-    """One stage (node c) or the final update (c = 1) as phi terms."""
-
-    c: float
-    # rows: ((m, ((j, w), ...)), ...) sorted by phi index m
-    rows: tuple
-
-
-@dataclass(frozen=True)
 class _Group:
     """Stages combined together, one row each, or the final update as one row.
 
     `stages` numbers the rows as Scheme.rows does, the update as row s+1,
     and `index` holds the same numbers as an index array into the step's D
-    block. The combination reads the rows `reads` of D, an index array built
-    once, whose first entry is row 1: F, with coefficient c_i phi_1(c_i hA).
+    block; `nodes` holds each row's node c as a float. The combination reads
+    the rows `reads` of D, an index array built once, whose first entry is
+    row 1: F, with coefficient c_i phi_1(c_i hA).
     On the dense path `tables` holds row r's coefficient of D[reads[k]], its
     phi polynomial folded into one entry: with a basis tables[r, k] is a
     table on the eigenvalues, shape (rows, k, n); without, tables[r, :, k]
     is an n x n matrix, shape (rows, n, k, n), so that each row's matrices
-    lie side by side.
+    lie side by side. Matrix-free, `weights` holds per row the read-only
+    W[m, k]: the weight of phi_m in that coefficient times h/(c h)^m, so
+    that W @ D[reads] lists phi_combo_apply_krylov's vectors at step c h.
+    Each path leaves the other path's field None.
     """
 
     stages: tuple
     index: np.ndarray
-    plans: tuple
+    nodes: tuple
     reads: np.ndarray
     tables: np.ndarray | None
-
-
-def _compile_rows(polys: dict):
-    """Group coefficient polynomials of one row/update by phi index."""
-    by_m: dict[int, list] = {}
-    for j in sorted(polys):
-        for m, w in polys[j].float_terms:
-            by_m.setdefault(m, []).append((j, w))
-    return tuple((m, tuple(by_m[m])) for m in sorted(by_m))
+    weights: tuple | None
 
 
 def _stack(cache: PhiCache, n: int, polys: list) -> np.ndarray:
@@ -151,6 +140,21 @@ def _stack(cache: PhiCache, n: int, polys: list) -> np.ndarray:
     return tables
 
 
+def _weights(c: float, h: float, row: dict, reads: tuple) -> np.ndarray:
+    """Row {j: a_ij} at node c, F's c phi_1 first, as a _Group.weights entry.
+    No PhiPoly per cell, as this is most of the matrix-free set-up; a cell's
+    last term has its highest phi index (PhiPoly.terms ascend)."""
+    h_eff = c * h
+    cells = [(k, row[j].float_terms) for k, j in enumerate(reads) if j in row]
+    W = np.zeros((1 + max([1] + [terms[-1][0] for _, terms in cells]), len(reads)))
+    W[1, 0] = 1.0  # F's c phi_1 times h/(c h)
+    for k, terms in cells:
+        for m, w in terms:
+            W[m, k] = w * (h / h_eff**m)
+    W.setflags(write=False)
+    return W
+
+
 @dataclass
 class StepContext:
     """Everything reusable across steps for one (scheme, operator, h).
@@ -168,13 +172,16 @@ class StepContext:
 
     @property
     def stage_plans(self) -> dict:
-        """Each stage's plan by stage number; the phi terms its row combines."""
-        return {i: p for g in self.groups for i, p in zip(g.stages, g.plans)}
+        """Stage i's row of scheme.rows by i, as a view whose `rows` holds the
+        phi indices it uses. This and `final_plan` exist only for the
+        benchmark's matvec count, and go with it (ROADMAP item 1b)."""
+        return {i: SimpleNamespace(rows={m for p in row.values() for m, _ in p.terms})
+                for i, (_, row) in self.scheme.rows.items() if i <= self.scheme.s}
 
     @property
-    def final_plan(self) -> _Plan:
-        """The final update's plan."""
-        return self.update.plans[0]
+    def final_plan(self) -> SimpleNamespace:
+        """The update's row, s+1, viewed as `stage_plans` views a stage's."""
+        return SimpleNamespace(rows={m for p in self.scheme.b.values() for m, _ in p.terms})
 
     def to_basis(self, v: np.ndarray) -> np.ndarray:
         """Coordinates the stage combinations work in: the cache's basis, if any."""
@@ -182,7 +189,8 @@ class StepContext:
 
 
 def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepContext:
-    """Build the phi cache (dense path) and the per-group evaluation plans.
+    """Build the phi cache (dense path) and each group's grid of coefficients
+    by read columns: folded as _Group.tables, or matrix-free as _Group.weights.
 
     A is an operator record with `eigen()`, such as TridiagonalToeplitz, or
     a dense matrix. krylov=True picks the matrix-free path, where A may also
@@ -202,33 +210,23 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepCont
 
     def group(stages: tuple) -> _Group:
         nodes, polys = zip(*(scheme.rows[i] for i in stages))
-        plans = tuple(_Plan(c=float(c), rows=_compile_rows(p)) for c, p in zip(nodes, polys))
         reads = (1,) + tuple(sorted({j for p in polys for j in p}))
-        tables = None
+        floats = tuple(map(float, nodes))
+        tables = weights = None
         if cache is not None:
             tables = _stack(cache, np.shape(A)[0], [
                 [PhiPoly.make(c, {1: c})] + [p[j] if j in p else PhiPoly.make(c, {})
                                              for j in reads[1:]]
                 for c, p in zip(nodes, polys)
             ])
-        return _Group(stages=stages, index=np.array(stages), plans=plans,
-                      reads=np.array(reads), tables=tables)
+        else:
+            weights = tuple(_weights(c, float(h), p, reads) for c, p in zip(floats, polys))
+        return _Group(stages=stages, index=np.array(stages), nodes=floats,
+                      reads=np.array(reads), tables=tables, weights=weights)
 
     return StepContext(scheme=scheme, h=float(h), cache=cache, A=A,
                        groups=tuple(group(g) for g in scheme.groups),
                        update=group((scheme.s + 1,)))
-
-
-def _combo_vectors(h_eff: float, h: float, F: np.ndarray, rows, D) -> list:
-    """Vectors for the Krylov combo equivalent to the cached-matrix sum."""
-    p = max((m for m, _ in rows), default=1)
-    vs = [np.zeros_like(F), F] + [np.zeros_like(F) for _ in range(p - 1)]
-    for m, terms in rows:
-        v = np.zeros_like(F)
-        for j, w in terms:
-            v += w * D[j]
-        vs[m] = (h / h_eff**m) * v
-    return vs
 
 
 def _increments(ctx: StepContext, group: _Group, D: np.ndarray, apply_A, solve) -> np.ndarray:
@@ -239,10 +237,9 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray, apply_A, solve) 
     the dense path the whole group is one contraction of its folded
     coefficients (a product of tables with a basis, one matrix-vector
     product without) and one basis change; matrix-free, each row is one
-    shift-and-invert Krylov evaluation on `apply_A` and `solve`.
+    shift-and-invert Krylov action on W @ D[reads], on `apply_A` and `solve`.
     The result is a new array, which `step` updates in place.
     """
-    h = ctx.h
     if group.tables is not None:
         # the gathered rows of D are a temporary of the product alone: it is
         # freed before the basis change allocates its result
@@ -252,14 +249,12 @@ def _increments(ctx: StepContext, group: _Group, D: np.ndarray, apply_A, solve) 
             r, n = group.tables.shape[:2]
             coords = (group.tables.reshape(r * n, -1)
                       @ D[group.reads].reshape(-1)).reshape(r, n)
-        coords *= h
+        coords *= ctx.h
         return ctx.cache.from_basis(coords)
-    rows = []
-    for plan in group.plans:
-        h_eff = plan.c * h
-        vs = _combo_vectors(h_eff, h, D[1], plan.rows, D)
-        rows.append(phi_combo_apply_krylov(apply_A, h_eff, vs, KRYLOV_TOL, solve=solve))
-    return np.stack(rows)
+    read = D[group.reads]
+    return np.stack([phi_combo_apply_krylov(apply_A, c * ctx.h, list(W @ read), KRYLOV_TOL,
+                                            solve=solve)
+                     for c, W in zip(group.nodes, group.weights)])
 
 
 def _check_finite(block: np.ndarray, stages: tuple) -> None:
@@ -282,11 +277,12 @@ def step(ctx: StepContext, problem: SemilinearProblem, t: float,
     the solve with I - (h/4)A, once, and passes it with problem.apply_A to
     every row's Krylov call; where problem.A has none, it raises ValueError
     before any. Calls problem.f(t, u) once and problem.g(t, u) once, then,
-    per group, forms the stage values from one combination and calls g once
-    per stage of the group, in stage order. Neither u nor any array g
-    returns is written to. Raises DivergenceError naming the first stage, or
-    the final update, whose values are not finite. `integrate` looks this
-    function up at each step, so a wrapper patched over it, as the
+    per group, forms the stage values from one combination of the rows
+    `reads` of D, on either path by the grid precompute laid out, and calls
+    g once per stage, at its node, in stage order. Neither u nor any array
+    g returns is written to. Raises DivergenceError naming the first stage,
+    or the final update, whose values are not finite. `integrate` looks
+    this function up at each step, so a wrapper patched over it, as the
     benchmark's tracer does, times every step.
     """
     u = np.asarray(u, dtype=float)
@@ -305,8 +301,8 @@ def step(ctx: StepContext, problem: SemilinearProblem, t: float,
         U += u
         _check_finite(U, group.stages)
         G = np.empty_like(U)
-        for r, plan in enumerate(group.plans):
-            G[r] = problem.g(t + plan.c * ctx.h, U[r])
+        for r, c in enumerate(group.nodes):
+            G[r] = problem.g(t + c * ctx.h, U[r])
         G -= gn
         _check_finite(G, group.stages)
         D[group.index] = ctx.to_basis(G)

@@ -280,7 +280,8 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
     and the answer is beta V_m expm(A_m) e_1 at sizes _KRYLOV_M0,
     _KRYLOV_M0 + _SHIFT_INVERT_STEP, ... until two successive answers agree
     within tol, or stop closing in. Its size does not grow with the
-    stiffness. sigma and h must be positive (ValueError).
+    stiffness. tol, sigma and h must be positive, which a NaN is not, and V
+    must not be empty (ValueError, before any Arnoldi step).
 
     One basis is built per call and extended in place rather than rebuilt,
     so memory stays proportional to the size reached. The basis stops at the
@@ -291,8 +292,10 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
     different lengths raise ValueError, also before any step. With
     return_info, returns (result, KrylovInfo).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # also refuses a NaN tol, under which no size would converge
+        raise ValueError(f"tol must be positive, got {tol}")
+    if len(V) == 0:
+        raise ValueError("V must hold at least v_0, got an empty list")
     V = [np.asarray(v, dtype=float) for v in V]
     n = V[0].size
     p = len(V) - 1

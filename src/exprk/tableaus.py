@@ -42,7 +42,7 @@ class PhiPoly:
     """z -> sum_j w_j phi_j(c z) with rational node c and weights w_j (j >= 1)."""
 
     c: Fraction
-    terms: tuple[tuple[int, Fraction], ...]
+    terms: tuple[tuple[int, Fraction], ...]  # by ascending j, as make sorts them
 
     @staticmethod
     def make(c, weights: dict) -> "PhiPoly":

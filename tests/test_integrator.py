@@ -28,7 +28,7 @@ from exprk.phi import (
     phi_all_dense,
 )
 from exprk.problems import SemilinearProblem, error_at, make_heat1d, make_linear_decay
-from exprk.tableaus import SCHEME_NAMES, scheme_by_name
+from exprk.tableaus import SCHEME_NAMES, PhiPoly, Scheme, scheme_by_name
 from oracles import dense_matrix, phi_matrix_from_cache
 
 
@@ -470,11 +470,25 @@ def test_accepts_context_built_for_an_equal_matrix():
         assert np.array_equal(reused, integrate(scheme, problem, 0.0, 1.0, 0.125).state)
 
 
-def test_krylov_path_matches_dense_path():
-    scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(16)
-    dense = integrate(scheme, problem, 0.0, 1.0, 0.25).state
-    krylov = integrate(scheme, problem, 0.0, 1.0, 0.25, krylov=True).state
-    assert _relative_gap(krylov, dense) <= 1e-9
+# Test-only schemes with a phi_1 term in a coefficient, which no shipped scheme
+# has: in b_2, and in a_32. Each row's phi_1 vector on the matrix-free path
+# also carries F's c phi_1 term.
+_PHI1_SCHEMES = {
+    "phi1-in-b": Scheme(name="phi1-in-b", s=2, c={2: Fraction(1)}, a={},
+                        b={2: PhiPoly.make(1, {1: Fraction(1, 10), 2: 1})}, groups=((2,),)),
+    "phi1-in-a": Scheme(name="phi1-in-a", s=3, c={2: Fraction(1, 2), 3: Fraction(1)},
+                        a={(3, 2): PhiPoly.make(1, {1: Fraction(1, 10), 2: 4})},
+                        b={3: PhiPoly.make(1, {2: 1})}, groups=((2,), (3,))),
+}
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES + tuple(_PHI1_SCHEMES))
+def test_krylov_path_matches_dense_path(name):
+    scheme = _PHI1_SCHEMES[name] if name in _PHI1_SCHEMES else scheme_by_name(name)
+    problem = make_heat1d(16)
+    dense = integrate(scheme, problem, 0.0, 1.0, 0.125).state
+    krylov = integrate(scheme, problem, 0.0, 1.0, 0.125, krylov=True).state
+    assert _relative_gap(krylov, dense) <= 1e-12
 
 
 def test_matrix_free_step_passes_one_shifted_solve_to_every_row(monkeypatch):

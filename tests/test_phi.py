@@ -367,9 +367,23 @@ class TestPhiComboApplyKrylov:
         assert np.array_equal(out, np.zeros(16))
 
     def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            phi_combo_apply_krylov(lambda v: v, 1.0, [np.ones(4)], 0.0,
-                                   solve=_dense_solve(np.eye(4), 0.25))
+        # a NaN tol compares False with 0 too; taken, it grew the basis to the full space
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                phi_combo_apply_krylov(lambda v: v, 1.0, [np.ones(4)], tol,
+                                       solve=_dense_solve(np.eye(4), 0.25))
+
+    def test_names_an_empty_vector_list_before_any_work(self):
+        calls = []
+
+        def apply_A(v):
+            calls.append(1)
+            return v
+
+        with pytest.raises(ValueError, match="empty list"):
+            phi_combo_apply_krylov(apply_A, 1.0, [], 1e-9,
+                                   solve=_dense_solve(np.eye(4), 0.25, calls))
+        assert calls == []
 
     def test_basis_grows_without_restarting(self):
         n, h = 64, 2e-3
