@@ -14,15 +14,14 @@ Z, checking them at a random Z of unit norm with independent random tensors
 per interior node exposes any violation (up to roundoff); residuals of
 satisfied conditions sit at ~1e-13 while violated ones are O(1e-4) or larger.
 
-check_scheme evaluates each condition once over all of its random models
-(one model alone goes unstacked): Z, w and every node's map are stacked on
-a leading seed axis, each product is a matmul per seed over a trailing
-vector axis, and each seed's norm is taken over its own slice, so every
-seed's residual is bitwise the one it has alone. Inside one residual call
-each tree is evaluated once per (node, stage): a node's map at its
-children's stage-j vectors is formed once and read by every parent stage
-i > j. The arithmetic and its order are the recursion's, so the residuals
-are those of the plain recursion bit for bit.
+check_scheme evaluates each condition once over all of its random models:
+Z, w and every node's map are stacked on a leading seed axis, each product
+is a matmul per seed over a trailing vector axis, and each seed's norm is
+taken over its own slice, so every seed's residual is bitwise the one it
+has alone. Inside one residual call each tree is evaluated once per (node,
+stage): a node's map at its children's stage-j vectors is formed once and
+read by every parent stage i > j. The arithmetic and its order are the
+recursion's, so the residuals are those of the plain recursion bit for bit.
 
 "strong" mode draws Z at random for every condition; "weak17" additionally
 evaluates the order-6 quadrature condition at Z = 0, which is the regime the
@@ -41,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .phi import PhiCache, phi_all_dense
-from .tableaus import PhiPoly, Scheme
+from .tableaus import Scheme
 from .trees import Tree, enumerate_trees
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "condition_table",
     "RandomModel",
     "PhiAtMatrix",
-    "psi",
     "residual",
     "ConditionResult",
     "ConditionReport",
@@ -85,73 +83,62 @@ def condition_table(p: int) -> list[Condition]:
 
 
 class PhiAtMatrix(PhiCache):
-    """The dense PhiCache of phi_j(cZ) at a fixed matrix Z (h = 1), filled on use.
+    """The dense PhiCache of one scheme at a stack of matrices Z (h = 1), filled on use.
 
-    Z is one n x n matrix or a stack of them, shape (S, n, n), one per
-    random model. Everything returned then carries Z's leading seed axis,
-    and each seed's slice is bitwise what an evaluator at that seed's Z
-    alone returns. One evaluator serves one model or one stack, so
-    everything it returns is memoized and read-only:
+    Z has shape (S, n, n), one matrix per random model, S >= 1. Everything
+    returned carries Z's leading seed axis, and each seed's slice is bitwise
+    what an evaluator at that seed's Z alone returns. kmax is
+    max(scheme.max_phi_index, 6), enough for every condition up to order 6.
+    Everything returned is memoized, keyed by indices, and read-only:
 
       * node(c), and so entry(c, j): phi_all_dense runs once per (seed, node c),
         on first use;
-      * coeff(poly): PhiCache.coeff, formed once per polynomial
-        (key: id(poly));
-      * psi(q, i, scheme, self): each stage defect is formed once
-        (key: id(scheme), q, i).
-
-    An id key is cheap where hashing a PhiPoly or Scheme would hash all of
-    its Fractions. Each entry keeps the keyed object beside the matrix, so
-    its id cannot be reused while the entry lives, and a hit must be that
-    very object.
+      * row(i): row i of scheme.rows, each coefficient folded once by
+        PhiCache.coeff, as {j: coefficient};
+      * psi(q, i): the defect of row i, formed once per (q, i).
     """
 
-    def __init__(self, Z: np.ndarray, kmax: int):
-        super().__init__(kmax=kmax)
+    def __init__(self, scheme: Scheme, Z: np.ndarray):
+        super().__init__(kmax=max(scheme.max_phi_index, 6))
+        self.scheme = scheme
         self.Z = np.asarray(Z, dtype=float)
-        self._coeffs: dict[int, tuple[PhiPoly, np.ndarray]] = {}
-        self._psi: dict[tuple[int, int, int], tuple[Scheme, np.ndarray]] = {}
+        if self.Z.ndim != 3 or self.Z.shape[1] != self.Z.shape[2]:
+            raise ValueError(f"Z must be a stack of square matrices, got shape {self.Z.shape}")
+        self._rows: dict[int, dict[int, np.ndarray]] = {}
+        self._psi: dict[tuple[int, int], np.ndarray] = {}
 
     def node(self, c) -> np.ndarray:
         stack = self.stacks.get(c)
         if stack is None:
-            n = self.Z.shape[-1]
-            phis = np.stack([phi_all_dense(float(c) * Z, self.kmax)
-                             for Z in self.Z.reshape(-1, n, n)], axis=1)
-            stack = phis.reshape(self.kmax + 1, *self.Z.shape)
+            stack = np.stack([phi_all_dense(float(c) * Z, self.kmax) for Z in self.Z], axis=1)
             stack.setflags(write=False)
             self.stacks[Fraction(c)] = stack
         return stack
 
-    def coeff(self, poly: PhiPoly) -> np.ndarray:
-        hit = self._coeffs.get(id(poly))
-        if hit is not None and hit[0] is poly:
-            return hit[1]
-        out = super().coeff(poly)
-        self._coeffs[id(poly)] = (poly, out)
+    def row(self, i: int) -> dict[int, np.ndarray]:
+        """Row i of scheme.rows as {j: coefficient(Z)}, in the row's order."""
+        out = self._rows.get(i)
+        if out is None:
+            out = self._rows[i] = {j: self.coeff(poly)
+                                   for j, poly in self.scheme.rows[i][1].items()}
         return out
 
+    def psi(self, q: int, i: int) -> np.ndarray:
+        """Defect sum_k a_ik(Z) c_k^(q-1)/(q-1)! - c_i^q phi_q(c_i Z) of row i.
 
-def psi(q: int, i: int, scheme: Scheme, ev: PhiAtMatrix) -> np.ndarray:
-    """Defect sum_k a_ik(Z) c_k^(q-1)/(q-1)! - c_i^q phi_q(c_i Z) of row i.
-
-    Row i of scheme.rows: a stage defect for i <= s, and for i = s+1 (node
-    1, weights b) the quadrature defect sum_k b_k(Z) c_k^(q-1)/(q-1)! -
-    phi_q(Z). Of ev's shape, one defect per seed of a stacked Z. Memoized
-    on ev per (id(scheme), q, i), read-only; see PhiAtMatrix.
-    """
-    key = (id(scheme), q, i)
-    hit = ev._psi.get(key)
-    if hit is not None and hit[0] is scheme:
-        return hit[1]
-    ci, row = scheme.rows[i]
-    acc = np.zeros(ev.Z.shape)
-    for k, poly in row.items():
-        acc += ev.coeff(poly) * (float(scheme.c[k]) ** (q - 1) / math.factorial(q - 1))
-    out = acc - float(ci) ** q * ev.entry(ci, q)
-    out.setflags(write=False)
-    ev._psi[key] = (scheme, out)
-    return out
+        Row i of scheme.rows: a stage defect for i <= s, and for i = s+1 (node
+        1, weights b) the quadrature defect sum_k b_k(Z) c_k^(q-1)/(q-1)! -
+        phi_q(Z). Of Z's shape, one defect per seed.
+        """
+        out = self._psi.get((q, i))
+        if out is None:
+            c, ci = self.scheme.c, self.scheme.rows[i][0]
+            acc = np.zeros(self.Z.shape)
+            for k, coeff in self.row(i).items():
+                acc += coeff * (float(c[k]) ** (q - 1) / math.factorial(q - 1))
+            out = self._psi[(q, i)] = acc - float(ci) ** q * self.entry(ci, q)
+            out.setflags(write=False)
+        return out
 
 
 class RandomModel:
@@ -211,21 +198,21 @@ def _apply_map(tensor: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
 class _StageVectors:
     """The stage vectors of one condition's subtrees, within one residual call.
 
-    scheme, ev, maps and w are fixed for one condition, and the node paths
-    index the subtrees of its tree. `mapped(tree, path, j)`, the node's map
+    ev (and with it the scheme), maps and w are fixed for one condition, and
+    the node paths index the subtrees of its tree. `mapped(tree, path, j)`, the node's map
     applied to its children's stage-j vectors, is formed once per (path, j);
     for a quadrature node, whose arguments are all w, j is None and it is
     formed once per path. A subtree's stage-j vector is read only by its
     parent's mapped(j), so it is formed once as well, where the plain
     recursion formed it again for every parent stage reading stage j. The
     arithmetic and its order are the recursion's, so the values are bitwise
-    the same. With a stacked ev, w and maps carry its leading seed axis, and
-    so does every vector returned. Inside, vectors are (..., n, 1) columns,
-    so that every product is a plain matmul batched over the seeds.
+    the same. w and maps carry ev's leading seed axis, and so does every
+    vector returned. Inside, vectors are (S, n, 1) columns, so that every
+    product is a plain matmul batched over the seeds.
     """
 
-    def __init__(self, scheme: Scheme, ev: PhiAtMatrix, maps: dict, w: np.ndarray):
-        self.scheme = scheme
+    def __init__(self, ev: PhiAtMatrix, maps: dict, w: np.ndarray):
+        self.scheme = ev.scheme
         self.ev = ev
         self.maps = maps
         self.w = w[..., None]
@@ -246,8 +233,7 @@ class _StageVectors:
         if tree.kind == "white":
             return float(self.scheme.c[i]) * self.w
         if tree.is_quadrature():
-            return (psi(len(tree.children) + 1, i, self.scheme, self.ev)
-                    @ self.mapped(tree, path, None))
+            return self.ev.psi(len(tree.children) + 1, i) @ self.mapped(tree, path, None)
         return self._pref(tree, path) * self.row_sum(tree, path, i)
 
     def row_sum(self, tree: Tree, path: tuple, i: int) -> np.ndarray:
@@ -257,8 +243,8 @@ class _StageVectors:
         the b_j, and at the root that sum is the nested residual. A column.
         """
         acc = np.zeros(self.w.shape)
-        for j, poly in self.scheme.rows[i][1].items():
-            acc += self.ev.coeff(poly) @ self.mapped(tree, path, j)
+        for j, coeff in self.ev.row(i).items():
+            acc += coeff @ self.mapped(tree, path, j)
         return acc
 
     def mapped(self, tree: Tree, path: tuple, j: int | None) -> np.ndarray:
@@ -287,34 +273,30 @@ def residual(cond: Condition, scheme: Scheme, model: RandomModel | list[RandomMo
              ev0: PhiAtMatrix | None = None) -> float:
     """Largest residual norm of one condition over the models' random instances.
 
-    model is one RandomModel or a list of them. A list is evaluated in one
-    pass, stacked on a leading seed axis (see PhiAtMatrix): ev and ev0 are
-    then at the stacked Z and at its zeros, and the result is bitwise the
-    largest of the per-model residuals. In "weak17" mode the order-6
-    quadrature condition (number 17) is evaluated at Z = 0 instead of the
-    random Z. Raises ValueError, before any work, for an empty list, an ev
-    whose Z is not the model's, an ev0 whose Z is not the model's shape of
-    zeros, or either with kmax below max(scheme.max_phi_index, cond.order).
+    model is one RandomModel, taken as a stack of one, or a list of them,
+    evaluated in one pass stacked on a leading seed axis (see PhiAtMatrix):
+    ev and ev0 are at the stacked Z and at its zeros, and the result is
+    bitwise the largest of the per-model residuals. In "weak17" mode the
+    order-6 quadrature condition (number 17) is evaluated at Z = 0 instead
+    of the random Z. Raises ValueError, before any work, for an empty list, an ev
+    whose Z is not the models' stack, an ev0 whose Z is not that stack's
+    shape of zeros, or either built for another scheme.
     """
     if mode not in ("strong", "weak17"):
         raise ValueError(f"unknown mode {mode!r}")
-    single = isinstance(model, RandomModel)
-    models = [model] if single else model
+    models = [model] if isinstance(model, RandomModel) else model
     if not models:
         raise ValueError("residual needs at least one model")
-    stacked = operator.itemgetter(0) if single else np.array  # one array per model
-    Z = stacked([m.Z for m in models])
-    kmax = max(scheme.max_phi_index, cond.order)
+    Z = np.array([m.Z for m in models])
     if ev is None:
-        ev = PhiAtMatrix(Z, kmax)
-    elif ev.Z is not Z and not np.array_equal(ev.Z, Z):
+        ev = PhiAtMatrix(scheme, Z)
+    elif not np.array_equal(ev.Z, Z):
         raise ValueError("ev is evaluated at a Z other than the model's")
     if ev0 is not None and (ev0.Z.shape != Z.shape or np.any(ev0.Z)):
         raise ValueError("ev0 must be evaluated at a zero matrix of the model's shape")
     for name, evaluator in (("ev", ev), ("ev0", ev0)):
-        if evaluator is not None and evaluator.kmax < kmax:
-            raise ValueError(f"{name}.kmax is {evaluator.kmax}, condition "
-                             f"{cond.number} of {scheme.name} needs {kmax}")
+        if evaluator is not None and evaluator.scheme != scheme:
+            raise ValueError(f"{name} is built for {evaluator.scheme.name}, not {scheme.name}")
     # quadrature residuals are reported in moment form, (q-1)! times the
     # update row's defect psi(q, s+1), so that defects of different orders
     # sit on one scale; otherwise the 1/q! decay of phi_q would shrink a
@@ -322,16 +304,16 @@ def residual(cond: Condition, scheme: Scheme, model: RandomModel | list[RandomMo
     # pass tolerance
     if cond.kind == "b":
         if mode == "weak17" and cond.order == 6:
-            ev = ev0 if ev0 is not None else PhiAtMatrix(np.zeros_like(Z), kmax)
-        x, scale = psi(cond.order, scheme.s + 1, scheme, ev), math.factorial(cond.order - 1)
+            ev = ev0 if ev0 is not None else PhiAtMatrix(scheme, np.zeros_like(Z))
+        x, scale = ev.psi(cond.order, scheme.s + 1), math.factorial(cond.order - 1)
     else:
         per_model = [m.maps_for(cond) for m in models]
-        maps = {path: stacked([mp[path] for mp in per_model]) for path in per_model[0]}
-        stages = _StageVectors(scheme, ev, maps, stacked([m.w for m in models]))
+        maps = {path: np.array([mp[path] for mp in per_model]) for path in per_model[0]}
+        stages = _StageVectors(ev, maps, np.array([m.w for m in models]))
         x, scale = stages.row_sum(cond.tree, (), scheme.s + 1), 1
     # each seed's norm is one dot of its own entries, as np.linalg.norm takes
     # it; sqrt is monotone, so the root of the largest square is the largest root
-    flat = x.reshape(*Z.shape[:-2], 1, -1)
+    flat = x.reshape(len(models), 1, -1)
     return math.sqrt((flat @ flat.swapaxes(-1, -2)).max()) * scale
 
 
@@ -386,8 +368,7 @@ def check_scheme(scheme: Scheme, p: int, mode: str = "strong", seeds: int = 3,
 
     Each condition is evaluated once, by one residual call over all the
     models stacked on a seed axis, with one evaluator at the stacked Z and
-    one at its zeros; with seeds=1 the lone model and its evaluators carry
-    no seed axis. Reports the maximum residual per condition across the
+    one at its zeros. Reports the maximum residual per condition across the
     seeds; a condition passes when that maximum stays within tol. Raises
     ValueError for p outside 2..6 and, before any work, for seeds < 1 or
     n < 1, which would check nothing, and for a tol that is not finite and
@@ -402,16 +383,10 @@ def check_scheme(scheme: Scheme, p: int, mode: str = "strong", seeds: int = 3,
     if n < 1:
         raise ValueError(f"model dimension n must be >= 1, got {n}")
     conds = condition_table(p)
-    kmax = max(scheme.max_phi_index, p)
     models = [RandomModel((base_seed, rep), n=n) for rep in range(seeds)]
-    # a lone model goes unstacked: a seed axis of length 1 shares nothing
-    # and costs each product its broadcast
-    if seeds == 1:
-        model, Z = models[0], models[0].Z
-    else:
-        model, Z = models, np.stack([m.Z for m in models])
-    ev, ev0 = PhiAtMatrix(Z, kmax), PhiAtMatrix(np.zeros_like(Z), kmax)
-    worst = {c.number: residual(c, scheme, model, mode=mode, ev=ev, ev0=ev0)
+    Z = np.stack([m.Z for m in models])
+    ev, ev0 = PhiAtMatrix(scheme, Z), PhiAtMatrix(scheme, np.zeros_like(Z))
+    worst = {c.number: residual(c, scheme, models, mode=mode, ev=ev, ev0=ev0)
              for c in conds}
     results = [
         ConditionResult(

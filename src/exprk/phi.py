@@ -21,9 +21,12 @@ invariant subspace, at most the whole augmented space, where the
 projection is the operator itself.
 
 An operator record owns its diagonalisation: eigen() gives its eigenvalues
-and a basis object. TridiagonalToeplitz's basis is the sine matrix, from
-SINE_TRANSFORM_MIN_N up a DST-I formed from one complex FFT of length n+1.
-Its shifted_solver factors I - sigma A once for the matrix-free action.
+and a basis object. TridiagonalToeplitz's basis is the sine matrix below
+SINE_FOLD_MIN_N; from there to SINE_TRANSFORM_MIN_N it is _SineFold, which
+keeps only the halves of the sine matrix that a vector's folded sum and
+difference multiply; from SINE_TRANSFORM_MIN_N up it is a DST-I formed from
+one complex FFT of length n+1. Its shifted_solver factors I - sigma A once
+for the matrix-free action.
 """
 
 from __future__ import annotations
@@ -215,11 +218,13 @@ def _arnoldi_columns(apply_A, V: np.ndarray, H: np.ndarray, j0: int, m: int) -> 
 
 
 def arnoldi(apply_A, v: np.ndarray, m: int):
-    """m-step Arnoldi: returns (V, H) with V n-by-k orthonormal, H (k+1)-by-k.
+    """m-step Arnoldi: returns (V, H) with H (k+1)-by-k and V's columns orthonormal.
 
-    k == m unless the Krylov space becomes invariant first, in which case the
-    basis of the invariant subspace is returned and the trailing
-    subdiagonal entry of H is zero. Each new column is orthogonalised by
+    k == m unless the Krylov space becomes invariant first, in which case V
+    is the n-by-k basis of the invariant subspace and the trailing
+    subdiagonal entry of H is zero. Otherwise, below k == n, V also keeps
+    the next basis vector as column k, n-by-(k+1), so that A V[:, :k] = V H
+    and a basis can grow from column k. Each new column is orthogonalised by
     classical Gram-Schmidt applied twice (CGS2), which keeps the basis
     orthonormal to ~1e-14. Column j depends only on columns 0..j, so the
     first k columns of a larger basis are bitwise those of the k-column one;
@@ -234,7 +239,7 @@ def arnoldi(apply_A, v: np.ndarray, m: int):
     if not 1 <= m <= n:
         raise ValueError(f"subspace dimension must be in [1, {n}], got {m}")
     # column-major, so that every leading block V[:, :j+1] is contiguous
-    V = np.zeros((n, m), order="F")
+    V = np.zeros((n, min(m + 1, n)), order="F")
     H = np.zeros((m + 1, m))
     V[:, 0] = v / beta
     k = _arnoldi_columns(apply_A, V, H, 0, m)
@@ -352,7 +357,7 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
     # basis by _arnoldi_columns.
     m = min(_KRYLOV_M0, naug)
     Vm, Hm = arnoldi(shifted, w0, m)
-    k = Vm.shape[1]
+    k = Hm.shape[1]
     applied = []  # A~ times each basis column so far
     previous, previous_gap = None, math.inf  # the last answer, and its gap to the one before
     while True:
@@ -372,15 +377,13 @@ def phi_combo_apply_krylov(apply_A, h: float, V: list[np.ndarray], tol: float,
             return _done(u, KrylovInfo(k, True))
         previous = u
         m = min(m + _SHIFT_INVERT_STEP, naug)
-        # arnoldi returns no column for the next basis vector, so the first
-        # extension recomputes column k-1. Grown V keeps that spare column.
-        j0 = k if Vm.shape[1] > k else k - 1
+        # the basis so far keeps its next vector, column k: grow from there
         V_grown = np.zeros((naug, min(m + 1, naug)), order="F")
-        V_grown[:, : j0 + 1] = Vm[:, : j0 + 1]
+        V_grown[:, : k + 1] = Vm
         H_grown = np.zeros((m + 1, m))
-        H_grown[: j0 + 1, :j0] = Hm[: j0 + 1, :j0]
+        H_grown[: k + 1, :k] = Hm
         Vm, Hm = V_grown, H_grown
-        k = _arnoldi_columns(shifted, Vm, Hm, j0, m)
+        k = _arnoldi_columns(shifted, Vm, Hm, k, m)
 
 
 # Largest working set build_phi_cache may allocate, in bytes. Above it the

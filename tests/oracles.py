@@ -24,8 +24,6 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from exprk.conditions import psi
-
 
 def phi_ref(k: int, z: float, dps: int = 60) -> float:
     """phi_k(z) in extended precision, for k <= 30 and any real z.
@@ -256,8 +254,9 @@ def order_bruteforce(t) -> int:
 #
 # The checker's stage-vector recursion in its first form: each child subtree's
 # stage-j vector is recomputed for every parent stage that reads it. It reuses
-# the library's coefficient matrices and row defects (ev.coeff, psi),
-# so its residuals must equal the checker's bit for bit.
+# the library's coefficient matrices and row defects (ev.row, ev.psi) at a
+# stack of one model, reading that model's slice, so its residuals must equal
+# the checker's bit for bit.
 
 
 def _apply_map_ref(tensor, args):
@@ -275,35 +274,32 @@ def elementary_differential_ref(tree, i, scheme, ev, maps, w, path=()):
     if tree.is_quadrature():
         ell = len(tree.children)
         vec = _apply_map_ref(tensor, [w] * ell)
-        return psi(ell + 1, i, scheme, ev) @ vec
+        return ev.psi(ell + 1, i)[0] @ vec
     pref = float(Fraction(math.prod(c.symmetry for c in tree.children), tree.symmetry))
-    n = ev.Z.shape[0]
+    n = ev.Z.shape[-1]
     acc = np.zeros(n)
-    for j in range(2, i):
-        poly = scheme.a.get((i, j))
-        if poly is None:
-            continue
+    for j, coeff in ev.row(i).items():
         args = [
             elementary_differential_ref(child, j, scheme, ev, maps, w, path + (idx,))
             for idx, child in enumerate(tree.children)
         ]
-        acc += ev.coeff(poly) @ _apply_map_ref(tensor, args)
+        acc += coeff[0] @ _apply_map_ref(tensor, args)
     return pref * acc
 
 
 def residual_ref(cond, scheme, model, mode, ev, ev0):
     """Residual norm of one condition, nested trees by the plain recursion."""
     if mode == "weak17" and cond.kind == "b" and cond.order == 6:
-        return float(np.linalg.norm(psi(cond.order, scheme.s + 1, scheme, ev0))) * math.factorial(cond.order - 1)
+        return float(np.linalg.norm(ev0.psi(cond.order, scheme.s + 1)[0])) * math.factorial(cond.order - 1)
     if cond.kind == "b":
-        return float(np.linalg.norm(psi(cond.order, scheme.s + 1, scheme, ev))) * math.factorial(cond.order - 1)
+        return float(np.linalg.norm(ev.psi(cond.order, scheme.s + 1)[0])) * math.factorial(cond.order - 1)
     maps = model.maps_for(cond)
     tensor = maps[()]
     acc = np.zeros(model.n)
-    for i, poly in scheme.b.items():
+    for i, coeff in ev.row(scheme.s + 1).items():
         args = [
             elementary_differential_ref(child, i, scheme, ev, maps, model.w, (idx,))
             for idx, child in enumerate(cond.tree.children)
         ]
-        acc += ev.coeff(poly) @ _apply_map_ref(tensor, args)
+        acc += coeff[0] @ _apply_map_ref(tensor, args)
     return float(np.linalg.norm(acc))

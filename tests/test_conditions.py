@@ -12,15 +12,16 @@ from exprk.conditions import (
     check_scheme,
     _StageVectors,
     condition_table,
-    psi,
     residual,
 )
 from exprk.phi import build_phi_cache
 from exprk.tableaus import (
+    SCHEME_NAMES,
     make_exponential_euler,
     make_expk2,
     make_exprk6s15,
     make_exprk6s16,
+    scheme_by_name,
 )
 from exprk.trees import LEAF, node, quadrature_tree
 from oracles import elementary_differential_ref, residual_ref
@@ -44,8 +45,13 @@ def model():
 
 
 @pytest.fixture(scope="module")
-def ev(model):
-    return PhiAtMatrix(model.Z, 6)
+def ev15(s15, model):
+    return PhiAtMatrix(s15, model.Z[None])
+
+
+@pytest.fixture(scope="module")
+def ev16(s16, model):
+    return PhiAtMatrix(s16, model.Z[None])
 
 
 @pytest.fixture
@@ -75,14 +81,14 @@ class TestConditionTable:
 
 
 class TestPsi:
-    def test_stage_two_is_pure_phi_term(self, s15, ev):
+    def test_stage_two_is_pure_phi_term(self, s15, ev15):
         # empty coefficient sum leaves -c_2^q phi_q(c_2 Z)
         for q in (2, 3, 4, 5):
-            got = psi(q, 2, s15, ev)
-            want = -float(s15.c[2]) ** q * ev.entry(s15.c[2], q)
+            got = ev15.psi(q, 2)
+            want = -float(s15.c[2]) ** q * ev15.entry(s15.c[2], q)
             assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
 
-    def test_enforced_defects_vanish_for_s15(self, s15, ev):
+    def test_enforced_defects_vanish_for_s15(self, ev15):
         # the construction zeroes these stage defects for arbitrary Z
         facts = (
             [(q, j) for q in (2, 3, 4, 5) for j in (12, 13, 14, 15)]
@@ -91,9 +97,9 @@ class TestPsi:
             + [(2, 3), (2, 4)]
         )
         for q, j in facts:
-            assert np.linalg.norm(psi(q, j, s15, ev)) <= TOL, (q, j)
+            assert np.linalg.norm(ev15.psi(q, j)) <= TOL, (q, j)
 
-    def test_enforced_defects_vanish_for_s16(self, s16, ev):
+    def test_enforced_defects_vanish_for_s16(self, ev16):
         facts = (
             [(q, j) for q in (2, 3, 4, 5) for j in (12, 13, 14, 15, 16)]
             + [(q, j) for q in (2, 3, 4) for j in (8, 9, 10, 11)]
@@ -101,57 +107,59 @@ class TestPsi:
             + [(2, 3), (2, 4)]
         )
         for q, j in facts:
-            assert np.linalg.norm(psi(q, j, s16, ev)) <= TOL, (q, j)
+            assert np.linalg.norm(ev16.psi(q, j)) <= TOL, (q, j)
 
     def test_specialization_at_zero(self, s15):
-        ev0 = PhiAtMatrix(np.zeros((4, 4)), 6)
+        ev0 = PhiAtMatrix(s15, np.zeros((1, 4, 4)))
         for j in (12, 15):
-            assert np.linalg.norm(psi(3, j, s15, ev0)) <= 1e-13
+            assert np.linalg.norm(ev0.psi(3, j)) <= 1e-13
 
 
 class TestPsiB:
-    def test_s16_quadrature_defects_vanish(self, s16, ev):
+    def test_s16_quadrature_defects_vanish(self, s16, ev16):
         for q in range(2, 7):
-            assert np.linalg.norm(psi(q, s16.s + 1, s16, ev)) <= TOL
+            assert np.linalg.norm(ev16.psi(q, s16.s + 1)) <= TOL
 
     def test_s15_order6_vanishes_at_zero(self, s15):
-        ev0 = PhiAtMatrix(np.zeros((4, 4)), 6)
-        assert np.linalg.norm(psi(6, s15.s + 1, s15, ev0)) <= 1e-12
+        ev0 = PhiAtMatrix(s15, np.zeros((1, 4, 4)))
+        assert np.linalg.norm(ev0.psi(6, s15.s + 1)) <= 1e-12
 
-    def test_s15_order6_nonzero_at_random_argument(self, s15, model, ev):
+    def test_s15_order6_nonzero_at_random_argument(self, s15, model, ev15):
         # negative control: the relaxed condition really is violated
-        assert np.linalg.norm(psi(6, s15.s + 1, s15, ev)) > 1e-6
+        assert np.linalg.norm(ev15.psi(6, s15.s + 1)) > 1e-6
         cond17 = condition_table(6)[16]
         assert cond17.number == 17
         assert residual(cond17, s15, model, mode="strong") > 1e-4
 
 
 class TestElementaryDifferential:
-    def test_white_leaf(self, s15, ev, model):
-        got = _StageVectors(s15, ev, {}, model.w).vector(LEAF, (), 5)
-        assert np.allclose(got, 0.5 * model.w)
+    """Stage vectors of a stack of one model, read at its one seed."""
 
-    def test_quadrature_child_at_stage_two(self, s15, ev, model):
+    def test_white_leaf(self, ev15, model):
+        got = _StageVectors(ev15, {}, model.w[None]).vector(LEAF, (), 5)
+        assert np.allclose(got[0], 0.5 * model.w)
+
+    def test_quadrature_child_at_stage_two(self, ev15, model):
         rng = np.random.default_rng(1)
         T = rng.standard_normal((4, 4))
-        got = _StageVectors(s15, ev, {(): T}, model.w).vector(quadrature_tree(2), (), 2)
-        want = psi(2, 2, s15, ev) @ (T @ model.w)
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
+        got = _StageVectors(ev15, {(): T[None]}, model.w[None]).vector(quadrature_tree(2), (), 2)
+        want = ev15.psi(2, 2)[0] @ (T @ model.w)
+        assert np.allclose(got[0], want, rtol=1e-13, atol=1e-14)
 
-    def test_nested_child_hand_expansion(self, s15, ev, model):
+    def test_nested_child_hand_expansion(self, s15, ev15, model):
         # [[•]] at stage 8: sum_j a_8j(Z) T_out (psi_2j(Z) T_in w)
         rng = np.random.default_rng(2)
         T_out = rng.standard_normal((4, 4))
         T_in = rng.standard_normal((4, 4))
-        maps = {(): T_out, (0,): T_in}
+        maps = {(): T_out[None], (0,): T_in[None]}
         tree = node(node(LEAF))
-        got = _StageVectors(s15, ev, maps, model.w).vector(tree, (), 8)
+        got = _StageVectors(ev15, maps, model.w[None]).vector(tree, (), 8)
         want = np.zeros(4)
         for j in (5, 6, 7):
-            want += ev.coeff(s15.a[(8, j)]) @ (
-                T_out @ (psi(2, j, s15, ev) @ (T_in @ model.w))
+            want += ev15.coeff(s15.a[(8, j)])[0] @ (
+                T_out @ (ev15.psi(2, j)[0] @ (T_in @ model.w))
             )
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+        assert np.allclose(got[0], want, rtol=1e-12, atol=1e-13)
 
 
 
@@ -177,8 +185,8 @@ class TestResidual:
         cond1 = condition_table(2)[0]
         r = residual(cond1, euler, model, mode="strong")
         assert r > 1e-2
-        ev = PhiAtMatrix(model.Z, 2)
-        assert r == pytest.approx(np.linalg.norm(ev.entry(F(1), 2)), rel=1e-12)
+        ev = PhiAtMatrix(euler, model.Z[None])
+        assert r == pytest.approx(np.linalg.norm(ev.entry(F(1), 2)[0]), rel=1e-12)
 
     def test_expk2_passes_order2_fails_order3(self):
         s = make_expk2()
@@ -267,36 +275,41 @@ class TestArgumentChecks:
                                                              no_work, number):
         cond = condition_table(6)[number - 1]
         with pytest.raises(ValueError, match="Z other than the model's"):
-            residual(cond, s16, model, ev=PhiAtMatrix(np.eye(4), 6))
+            residual(cond, s16, model, ev=PhiAtMatrix(s16, np.eye(4)[None]))
 
     def test_residual_rejects_an_empty_list_of_models(self, s16, no_work):
         with pytest.raises(ValueError, match="at least one model"):
             residual(condition_table(6)[35], s16, [])
 
-    def test_residual_accepts_an_evaluator_at_an_equal_copy_of_z(self, s16, model, ev):
+    def test_residual_accepts_evaluators_at_equal_copies_of_z_and_scheme(self, s16, model,
+                                                                          ev16):
         cond = condition_table(6)[35]
-        copy = PhiAtMatrix(model.Z.copy(), 6)
-        assert residual(cond, s16, model, ev=copy) == residual(cond, s16, model, ev=ev)
+        copy = PhiAtMatrix(make_exprk6s16(), model.Z[None].copy())
+        assert residual(cond, s16, model, ev=copy) == residual(cond, s16, model, ev=ev16)
 
     @pytest.mark.parametrize("Z0", [np.eye(4), np.zeros((3, 3))], ids=["nonzero", "shape"])
-    def test_residual_rejects_an_ev0_off_the_zero_matrix(self, s15, model, ev, Z0):
+    def test_residual_rejects_an_ev0_off_the_zero_matrix(self, s15, model, ev15, Z0):
         cond17 = condition_table(6)[16]
         with pytest.raises(ValueError, match="ev0 must be evaluated at a zero matrix"):
-            residual(cond17, s15, model, mode="weak17", ev=ev, ev0=PhiAtMatrix(Z0, 6))
+            residual(cond17, s15, model, mode="weak17", ev=ev15,
+                     ev0=PhiAtMatrix(s15, Z0[None]))
 
+    @pytest.mark.parametrize("which", ["ev", "ev0"])
     @pytest.mark.parametrize("number", [17, 36])
-    def test_residual_rejects_an_evaluator_of_too_low_kmax(self, s16, model,
-                                                           no_work, number):
-        # unchecked, the evaluation stops with a KeyError partway through
+    def test_residual_rejects_an_evaluator_built_for_another_scheme(
+            self, s15, s16, model, no_work, which, number):
+        # exprk6s15 has no row 17, and its rows 2..16 are not exprk6s16's
         cond = condition_table(6)[number - 1]
-        with pytest.raises(ValueError, match="ev.kmax is 5"):
-            residual(cond, s16, model, ev=PhiAtMatrix(model.Z, 5))
+        evaluators = {"ev": PhiAtMatrix(s16, model.Z[None]),
+                      "ev0": PhiAtMatrix(s16, np.zeros((1, 4, 4)))}
+        evaluators[which] = PhiAtMatrix(s15, evaluators[which].Z)
+        with pytest.raises(ValueError, match=f"^{which} is built for exprk6s15, not exprk6s16"):
+            residual(cond, s16, model, mode="weak17", **evaluators)
 
-    def test_residual_rejects_an_ev0_of_too_low_kmax(self, s15, model, ev):
-        cond17 = condition_table(6)[16]
-        with pytest.raises(ValueError, match="ev0.kmax is 5"):
-            residual(cond17, s15, model, mode="weak17", ev=ev,
-                     ev0=PhiAtMatrix(np.zeros((4, 4)), 5))
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 4, 3), (1, 1, 4, 4)])
+    def test_evaluator_rejects_a_z_that_is_not_a_stack_of_square_matrices(self, s16, shape):
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            PhiAtMatrix(s16, np.zeros(shape))
 
 
 class TestStageVectors:
@@ -309,10 +322,9 @@ class TestStageVectors:
                                                          base_seed, request):
         scheme = request.getfixturevalue(scheme_name)
         model = RandomModel((base_seed, 0), n=4)
-        kmax = max(scheme.max_phi_index, 6)
 
         def evaluators():
-            return PhiAtMatrix(model.Z, kmax), PhiAtMatrix(np.zeros_like(model.Z), kmax)
+            return PhiAtMatrix(scheme, model.Z[None]), PhiAtMatrix(scheme, np.zeros((1, 4, 4)))
 
         ev, ev0 = evaluators()
         ref_ev, ref_ev0 = evaluators()
@@ -321,15 +333,17 @@ class TestStageVectors:
             want = residual_ref(cond, scheme, model, mode, ref_ev, ref_ev0)
             assert got == want, cond.number
 
-    def test_elementary_differential_is_bitwise_the_recursive_reference(self, s16, model, ev):
+    def test_elementary_differential_is_bitwise_the_recursive_reference(self, s16, model,
+                                                                        ev16):
         for cond in condition_table(6):
             maps = model.maps_for(cond)
+            stacked = {path: tensor[None] for path, tensor in maps.items()}
             for i in (3, 9, 16):
-                got = _StageVectors(s16, ev, maps, model.w).vector(cond.tree, (), i)
-                want = elementary_differential_ref(cond.tree, i, s16, ev, maps, model.w)
-                assert got.tobytes() == want.tobytes(), (cond.number, i)
+                got = _StageVectors(ev16, stacked, model.w[None]).vector(cond.tree, (), i)
+                want = elementary_differential_ref(cond.tree, i, s16, ev16, maps, model.w)
+                assert got[0].tobytes() == want.tobytes(), (cond.number, i)
 
-    def test_each_node_maps_at_most_once_per_stage(self, s16, model, ev, monkeypatch):
+    def test_each_node_maps_at_most_once_per_stage(self, s16, model, ev16, monkeypatch):
         # the plain recursion makes 325 calls for condition 36, [[[[[•]]]]], against 85
         import exprk.conditions as conditions
 
@@ -345,49 +359,45 @@ class TestStageVectors:
             if cond.kind != "nested":
                 continue
             calls.clear()
-            residual(cond, s16, model, ev=ev)
+            residual(cond, s16, model, ev=ev16)
             interior = len(model.maps_for(cond))
             assert len(calls) <= interior * (s16.s + 1), cond.number
 
 
 class TestMemo:
-    """The evaluator memoizes per model; results must not depend on it."""
+    """The evaluator memoizes per (scheme, model stack); results must not depend on it."""
 
     @pytest.mark.parametrize("seeds, n", [(1, 4), (3, 4), (1, 6), (3, 6)])
     @pytest.mark.parametrize("scheme_name, mode", [
         ("s16", "strong"), ("s15", "strong"), ("s15", "weak17")])
     def test_check_scheme_equals_fresh_evaluator_per_condition(
             self, scheme_name, mode, seeds, n, request):
-        # the stacked pass reports bitwise the largest of the per-model residuals
+        # the stacked pass reports bitwise the largest of the per-model
+        # residuals, each from the evaluators residual builds for it alone
         scheme = request.getfixturevalue(scheme_name)
         report = check_scheme(scheme, p=6, mode=mode, seeds=seeds, n=n)
         models = [RandomModel((DEFAULT_SEED, rep), n=n) for rep in range(seeds)]
-        kmax = max(scheme.max_phi_index, 6)
         for cond, got in zip(condition_table(6), report.results):
-            want = max(residual(cond, scheme, model, mode=mode,
-                                ev=PhiAtMatrix(model.Z, kmax),
-                                ev0=PhiAtMatrix(np.zeros_like(model.Z), kmax))
-                       for model in models)
+            want = max(residual(cond, scheme, model, mode=mode) for model in models)
             assert got.residual == want, cond.number
 
-    def test_psi_is_keyed_on_the_scheme(self, s15, s16, model):
-        shared = PhiAtMatrix(model.Z, 6)
-        fresh = PhiAtMatrix(model.Z, 6)
-        for q in range(2, 6):
-            for i in sorted(s16.c):
-                if i in s15.c:
-                    psi(q, i, s15, shared)
-                assert np.array_equal(psi(q, i, s16, shared),
-                                      psi(q, i, s16, fresh)), (q, i)
+    @pytest.mark.parametrize("mode", ["strong", "weak17"])
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_lower_orders_report_the_first_conditions_of_order_six(self, name, mode):
+        # the evaluator's kmax does not depend on p, so neither do the residuals
+        scheme = scheme_by_name(name)
+        full = check_scheme(scheme, p=6, mode=mode).results
+        for p in range(2, 6):
+            results = check_scheme(scheme, p=p, mode=mode).results
+            assert results == full[:len(results)], p
 
     def test_returned_arrays_are_read_only_and_reused(self, s16, model):
-        ev = PhiAtMatrix(model.Z, 6)
-        poly = s16.a[(12, 8)]
-        assert ev.coeff(poly) is ev.coeff(poly)
-        assert psi(3, 12, s16, ev) is psi(3, 12, s16, ev)
-        for arr in (ev.coeff(poly), ev.entry(F(1, 2), 2), psi(3, 12, s16, ev)):
+        ev = PhiAtMatrix(s16, model.Z[None])
+        assert ev.row(12) is ev.row(12)
+        assert ev.psi(3, 12) is ev.psi(3, 12)
+        for arr in (ev.row(12)[8], ev.entry(F(1, 2), 2), ev.psi(3, 12)):
             with pytest.raises(ValueError):
-                arr[0, 0] = 1.0
+                arr[0, 0, 0] = 1.0
 
 
 class TestStackedPass:
@@ -436,13 +446,14 @@ class TestSharedEvaluator:
         rng = np.random.default_rng(5)
         A = rng.standard_normal((5, 5))
         # a power-of-two h makes c*(h*A) and (c*h)*A the same floats
-        h, kmax = 0.25, scheme.max_phi_index
-        ev = PhiAtMatrix(h * A, kmax)
-        cache = build_phi_cache(A, h, scheme.nodes_used, kmax)
+        h = 0.25
+        ev = PhiAtMatrix(scheme, (h * A)[None])
+        cache = build_phi_cache(A, h, scheme.nodes_used, scheme.max_phi_index)
         assert cache.basis is None
-        for poly in list(scheme.a.values()) + list(scheme.b.values()):
-            got, want = ev.coeff(poly), cache.coeff(poly)
-            assert got.shape == (5, 5) and got.tobytes() == want.tobytes(), poly
+        for i, (_, row) in scheme.rows.items():
+            for j, poly in row.items():
+                got, want = ev.row(i)[j], cache.coeff(poly)
+                assert got.shape == (1, 5, 5) and got.tobytes() == want.tobytes(), (i, j)
 
 
 class TestRandomModel:

@@ -237,13 +237,17 @@ class TestArnoldi:
         A = rng.standard_normal((30, 30))
         v = rng.standard_normal(30)
         V, H = arnoldi(lambda x: A @ x, v, 12)
-        k = V.shape[1]
-        assert np.linalg.norm(V.T @ V - np.eye(k)) <= 1e-10
-        R = A @ V - V @ H[:k, :]
-        # residual lives in the last column only, with norm H[k, k-1]
+        k = H.shape[1]
+        # the basis keeps its next vector: k + 1 orthonormal columns
+        assert V.shape == (30, k + 1)
+        assert np.linalg.norm(V.T @ V - np.eye(k + 1)) <= 1e-10
+        # A V_k = V_(k+1) H, with the residual of the k-column basis in its
+        # last column, of norm H[k, k-1], orthogonal to that basis
+        assert np.linalg.norm(A @ V[:, :k] - V @ H) <= 1e-10 * np.linalg.norm(A)
+        R = A @ V[:, :k] - V[:, :k] @ H[:k, :]
         assert np.linalg.norm(R[:, :-1]) <= 1e-10 * np.linalg.norm(A)
         assert np.linalg.norm(R[:, -1]) == pytest.approx(H[k, k - 1], rel=1e-10)
-        assert np.linalg.norm(V.T @ R[:, -1]) <= 1e-10 * np.linalg.norm(A)
+        assert np.linalg.norm(V[:, :k].T @ R[:, -1]) <= 1e-10 * np.linalg.norm(A)
 
     def test_diagonal_with_unit_vector_breaks_down_immediately(self):
         D = np.diag(np.arange(1.0, 9.0))
@@ -269,7 +273,7 @@ class TestArnoldi:
         A = A + A.T
         v = rng.standard_normal(20)
         V, H = arnoldi(lambda x: A @ x, v, 15)
-        k = V.shape[1]
+        k = H.shape[1]
         Hk = H[:k, :]
         above = np.triu(Hk, 2)
         assert np.max(np.abs(above)) <= 1e-10 * np.linalg.norm(A)
@@ -286,7 +290,7 @@ class TestArnoldi:
         v = np.random.default_rng(11).standard_normal(64)
         V16, H16 = arnoldi(lambda x: A @ x, v, 16)
         V32, H32 = arnoldi(lambda x: A @ x, v, 32)
-        assert np.array_equal(V16, V32[:, :16])
+        assert np.array_equal(V16, V32[:, :17])
         assert np.array_equal(H16, H32[:17, :16])
 
     def test_orthonormal_at_full_dimension_on_stiff_laplacian(self):
@@ -394,9 +398,9 @@ class TestPhiComboApplyKrylov:
         out, info = phi_combo_apply_krylov(lambda v: A @ v, h, V, 1e-9, return_info=True,
                                            solve=_dense_solve(A, h / 4, calls))
         assert not info.dense_fallback and info.m > 8  # grown past the first block
-        # one solve per basis column, plus one: arnoldi keeps no column for
-        # its next vector, so the first extension recomputes its last column
-        assert len(calls) == info.m + 1
+        # one solve per basis column: arnoldi keeps its next vector, so no
+        # extension recomputes a column
+        assert len(calls) == info.m
         dense = _combo_ref(A, h, V)
         assert np.linalg.norm(out - dense) <= 1e-9 * np.linalg.norm(dense)
 
