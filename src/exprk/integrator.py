@@ -32,7 +32,7 @@ combination (phi_combo_apply_krylov) on W @ D[reads], W the coefficients
 the dense path folds, as phi weights. problem.A must offer a
 `shifted_solver`, as a TridiagonalToeplitz record does: a step factors
 I - sigma A once, sigma = h/4, and every row runs on that one solve, with
-12 to 16 basis vectors per row on heat1d from n=64 to n=20000.
+8 to 16 basis vectors per row on heat1d from n=64 to n=20000.
 
 A step is six rounds for exprk6s16, five groups and the update, so the
 fixed cost of a round counts as much as its arithmetic at small n. Each
@@ -75,7 +75,7 @@ KRYLOV_TOL = 1e-10
 # A matrix-free step factors I - sigma A once at sigma = _SHIFT * h, and
 # every row's shift-and-invert basis uses that one solve. At h/4 the rows
 # (nodes c from 1/5 to 1) run with gamma = sigma/(c h) from 1/4 to 5/4, and
-# heat1d's rows stop at 12 to 16 basis vectors from n=64 to n=20000.
+# heat1d's rows stop at 8 to 16 basis vectors from n=64 to n=20000.
 _SHIFT = 0.25
 
 

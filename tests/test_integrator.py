@@ -491,6 +491,25 @@ def test_krylov_path_matches_dense_path(name):
     assert _relative_gap(krylov, dense) <= 1e-12
 
 
+def test_heat1d_rows_stop_at_the_first_basis_size(monkeypatch):
+    # exprk6s16 on heat1d at n=64, h=1/8: each of the 8 steps' 16 rows is
+    # certified by its first basis's own residual, at 8 vectors
+    scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(64)
+    real_combo = exprk.integrator.phi_combo_apply_krylov
+    infos = []
+
+    def reading_combo(*args, **kwargs):
+        out, info = real_combo(*args, return_info=True, **kwargs)
+        infos.append(info)
+        return out
+
+    monkeypatch.setattr(exprk.integrator, "phi_combo_apply_krylov", reading_combo)
+    krylov = integrate(scheme, problem, 0.0, 1.0, 0.125, krylov=True).state
+    assert [(i.m, i.dense_fallback) for i in infos] == [(8, False)] * 128
+    dense = integrate(scheme, problem, 0.0, 1.0, 0.125).state
+    assert _relative_gap(krylov, dense) <= 1e-13
+
+
 def test_matrix_free_step_passes_one_shifted_solve_to_every_row(monkeypatch):
     scheme, problem = scheme_by_name("exprk6s16"), make_heat1d(16)
     real_solver = TridiagonalToeplitz.shifted_solver

@@ -19,6 +19,8 @@ from exprk.phi import (
     _MatrixBasis,
     _SineFold,
     _SineTransform,
+    _first_size,
+    _KRYLOV_M0,
     arnoldi,
     build_phi_cache,
     phi_all_dense,
@@ -551,6 +553,71 @@ class TestShiftInvertKrylov:
         _, info = phi_combo_apply_krylov(A.__matmul__, tau, [x * (1 - x), np.ones(n)], 1e-10,
                                          return_info=True, solve=noisy)
         assert info.dense_fallback and info.m <= 32
+
+    @staticmethod
+    def _first_basis(n, tau, V, k):
+        """The first k-column basis of phi_combo_apply_krylov on heat1d at
+        sigma = tau/4, from dense matrices: (Vm, Hm, applied, beta, A~), with
+        applied[j] = A~ Vm[:, j] for j = 0..k by heat1d's apply_A."""
+        A, p = _heat_record(n), len(V) - 1
+        B = np.zeros((n, p))
+        for i in range(p):
+            B[:, i] = tau ** (p - i) * V[p - i]
+        J = np.eye(p, k=1)
+
+        def aug_apply(x):
+            return np.concatenate([tau * (A @ x[:n]) + B @ x[n:], J @ x[n:]])
+
+        Aaug = np.column_stack([aug_apply(e) for e in np.eye(n + p)])
+        w0 = np.concatenate([V[0], np.eye(p)[p - 1] if p else []])
+        beta = np.linalg.norm(w0)
+        inverse = np.linalg.inv(np.eye(n + p) - Aaug / 4)  # gamma = sigma/tau = 1/4
+        Vm, Hm = arnoldi(lambda y: inverse @ y, w0, k)
+        return Vm, Hm, [aug_apply(Vm[:, j]) for j in range(k + 1)], beta, Aaug
+
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_first_size_residual_is_the_direct_one(self, p, k):
+        # the rank-one form of _first_size against A~ V_k - V_k A_k formed
+        # from apply_A, both times phi_1(A_k) e_1, the start vector's norm
+        # beta on either side
+        n, tau = 16, 1 / 8
+        V = list(np.random.default_rng(41).standard_normal((p + 1, n)))
+        Vm, Hm, applied, beta, _ = self._first_basis(n, tau, V, k)
+        first, residual = _first_size(Vm, Hm, applied, 1 / 4)
+        Vk, AV = Vm[:, :k], np.column_stack(applied[:k])
+        Ak = Vk.T @ AV
+        direct = beta * np.linalg.norm((AV - Vk @ Ak) @ phi_all_dense(Ak, 1)[1][:, 0])
+        assert abs(beta * residual - direct) <= 1e-10 * direct
+        assert np.allclose(first, scipy.linalg.expm(Ak)[:, 0], rtol=1e-13, atol=1e-15)
+
+    def test_heat1d_like_vectors_stop_at_the_first_size(self):
+        # a heat1d row passes v_0 = 0, F = x(1-x) e^t as v_1 and stage
+        # differences near F + 2 e^t: certified by the first basis alone
+        n = 64
+        x = np.arange(1, n + 1) / (n + 1)
+        s = x * (1 - x)
+
+        def heat1d_like(p):
+            return [s] if p == 0 else [np.zeros(n), s] + [s + 2] * (p - 1)
+
+        for _, got, info, want in self._combos(n, 1 / 8, heat1d_like):
+            assert (info.m, info.dense_fallback) == (_KRYLOV_M0, False)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_first_size_refuses_an_answer_off_by_more_than_tol(self):
+        # rough vectors at a long step: the first basis's answer misses tol
+        # (by 1.3e-10 to 5e-3 here), so the estimate must not pass it
+        n, tau = 400, 1.0
+        rng = np.random.default_rng(42)
+        vectors = [list(rng.standard_normal((p + 1, n))) for p in range(7)]
+        for p, got, info, want in self._combos(n, tau, lambda p: vectors[p]):
+            Vm, _, _, beta, Aaug = self._first_basis(n, tau, vectors[p], _KRYLOV_M0)
+            Vk = Vm[:, :_KRYLOV_M0]
+            first = beta * (Vk[:n] @ scipy.linalg.expm(Vk.T @ Aaug @ Vk)[:, 0])
+            assert np.linalg.norm(first - want) > 1e-10 * np.linalg.norm(want)
+            assert info.m > _KRYLOV_M0 and not info.dense_fallback
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("sigma, h", [(0.0, 0.1), (0.1, 0.0), (0.1, -0.1)])
     def test_refuses_a_shift_or_step_that_is_not_positive(self, sigma, h):
