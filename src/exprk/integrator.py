@@ -11,21 +11,20 @@ group's stage values are one combination, after which its g calls run in
 stage order. A run is bitwise reproducible.
 
 The dense path builds its phi cache once per (A, h) and then assembles
-nothing per step. For symmetric A the cache holds a basis of eigenvectors
-and length-n tables of phi_j on the eigenvalues, and precompute folds each
-coefficient a_ij(z) = sum_m w_m phi_m(c_i z) into one table on the
-eigenvalues. F goes into basis coordinates once, each group's increments
+nothing per step. For an operator record with eigen() the cache holds its
+basis and length-n tables of phi_j on its eigenvalues, and precompute
+folds each coefficient a_ij(z) = sum_m w_m phi_m(c_i z) into one table on
+the eigenvalues. F goes into basis coordinates once, each group's increments
 are one contraction of its stacked tables with the stacked D_j, and one
 basis change brings the group back; the group's D_j go into the basis
 with one more. That is 12 basis changes per exprk6s16 step: one for F, two
-per group and one for the update. The cache's basis object makes them:
-products with the eigenvector matrix Q from `eigh`, or what an operator
-record's `eigen()` picks (phi.TridiagonalToeplitz.eigen: the sine matrix Q,
-its halves, or an O(n log n) sine transform that stores no Q).
-For general A the cache holds dense phi matrices and no basis; precompute
-folds each coefficient into one n x n matrix, and a group's increments are
-one matrix-vector product of its folded matrices, laid side by side, with
-the stacked D_j.
+per group and one for the update. The cache's basis object makes them, as
+the record's eigen() picks it (phi.TridiagonalToeplitz.eigen: the sine
+matrix Q, its halves, or an O(n log n) sine transform that stores no Q).
+For any square matrix the cache holds dense phi matrices and no basis;
+precompute folds each coefficient into one n x n matrix, and a group's
+increments are one matrix-vector product of its folded matrices, laid side
+by side, with the stacked D_j.
 The matrix-free path, krylov=True, builds no cache: each row, a stage or
 the update, is one shift-and-invert Krylov approximation of its phi
 combination (phi_combo_apply_krylov) on W @ D[reads], W the coefficients
@@ -157,10 +156,9 @@ def _weights(c: float, h: float, row: dict, reads: tuple) -> np.ndarray:
 
 @dataclass
 class StepContext:
-    """Everything reusable across steps for one (scheme, operator, h).
-
-    `A` is what precompute was given: a record or a matrix, or on the
-    matrix-free path (no cache) possibly an operator action.
+    """Everything reusable across steps for one (scheme, h) and, on the dense
+    path, one operator: `A`, the record or matrix its cache was built from.
+    Matrix-free (no cache) `A` is None: the groups depend on scheme and h only.
     """
 
     scheme: Scheme
@@ -193,10 +191,10 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepCont
     by read columns: folded as _Group.tables, or matrix-free as _Group.weights.
 
     A is an operator record with `eigen()`, such as TridiagonalToeplitz, or
-    a dense matrix. krylov=True picks the matrix-free path, where A may also
-    be the operator action itself: no cache is built, and each step applies
-    problem.apply_A and takes its shifted solve from problem.A (see `step`).
-    An action without krylov=True is a TypeError, raised before any build.
+    any square matrix; an action is a TypeError, raised before any build.
+    krylov=True picks the matrix-free path, which reads nothing of A and
+    stores A=None: each step applies problem.apply_A and takes its shifted
+    solve from problem.A (see `step`).
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
@@ -224,7 +222,7 @@ def precompute(scheme: Scheme, A, h: float, *, krylov: bool = False) -> StepCont
         return _Group(stages=stages, index=np.array(stages), nodes=floats,
                       reads=np.array(reads), tables=tables, weights=weights)
 
-    return StepContext(scheme=scheme, h=float(h), cache=cache, A=A,
+    return StepContext(scheme=scheme, h=float(h), cache=cache, A=None if krylov else A,
                        groups=tuple(group(g) for g in scheme.groups),
                        update=group((scheme.s + 1,)))
 
@@ -314,17 +312,16 @@ def step(ctx: StepContext, problem: SemilinearProblem, t: float,
 
 def _check_context(ctx: StepContext, scheme: Scheme, problem: SemilinearProblem,
                    h: float) -> None:
-    """Raise ValueError if a reused context was built for another run."""
+    """Raise ValueError if a reused context was built for another scheme, step
+    size or, on the dense path, operator; a matrix-free one holds no operator."""
     if ctx.scheme != scheme:
         raise ValueError(f"step context was built for scheme {ctx.scheme.name}, "
                          f"not {scheme.name}")
     if ctx.h != float(h):
         raise ValueError(f"step context was built for step {ctx.h}, not {h}")
-    if callable(ctx.A):  # an action, whose size is not known
-        if ctx.A is not problem.apply_A:
-            raise ValueError("step context was built from another operator action; "
-                             "build it from this problem's apply_A")
-    elif np.shape(ctx.A)[0] != np.size(problem.u0):
+    if ctx.cache is None:
+        return
+    if np.shape(ctx.A)[0] != np.size(problem.u0):
         raise ValueError(f"step context was built for an operator of size "
                          f"{np.shape(ctx.A)[0]}, not {np.size(problem.u0)}")
     # the identity test first: a context reused for its own problem costs nothing;
@@ -370,12 +367,12 @@ def integrate(scheme: Scheme, problem: SemilinearProblem, t0: float, t_end: floa
               krylov: bool | None = None) -> TrajectoryResult:
     """Fixed-step integration of the problem over [t0, t_end].
 
-    A reused ctx must have been built for this scheme and step size, and from
-    a matrix equal to problem.A or, matrix-free, from problem.apply_A itself
-    (ValueError otherwise). krylov=True takes the matrix-free path, which
-    needs a problem.A with a shifted_solver (see `step`). krylov=None takes
-    ctx's path, or the dense one without a ctx; a krylov that contradicts
-    ctx's path is a ValueError, raised before any step.
+    A reused ctx must have been built for this scheme and step size, and a
+    dense one from an operator equal to problem.A (ValueError otherwise);
+    without one, either path is built from problem.A. krylov=True takes the
+    matrix-free path, which needs a problem.A with a shifted_solver (see
+    `step`). krylov=None takes ctx's path, or the dense one without a ctx; a
+    krylov that contradicts ctx's path is a ValueError, raised before any step.
     """
     n_steps = _step_count(t0, t_end, h)
     if ctx is not None:
@@ -384,8 +381,7 @@ def integrate(scheme: Scheme, problem: SemilinearProblem, t0: float, t_end: floa
             raise ValueError(f"krylov={krylov}, but the step context was built with "
                              f"krylov={ctx.cache is None}")
     else:
-        operator = problem.apply_A if krylov else problem.A
-        ctx = precompute(scheme, operator, h, krylov=bool(krylov))
+        ctx = precompute(scheme, problem.A, h, krylov=bool(krylov))
     u = np.array(problem.u0, dtype=float)
     t = t0
     for k in range(n_steps):

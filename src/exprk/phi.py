@@ -21,13 +21,13 @@ invariant subspace, at most the whole augmented space, where the
 projection is the operator itself. The first basis is accepted on its own
 residual estimate; later ones where two sizes agree.
 
-An operator record owns its diagonalisation: eigen() gives its eigenvalues
-and a basis object. TridiagonalToeplitz's basis is the sine matrix below
-SINE_FOLD_MIN_N; from there to SINE_TRANSFORM_MIN_N it is _SineFold, which
-keeps only the halves of the sine matrix that a vector's folded sum and
-difference multiply; from SINE_TRANSFORM_MIN_N up it is a DST-I formed from
-one complex FFT of length n+1. Its shifted_solver factors I - sigma A once
-for the matrix-free action.
+A phi cache has two routes: an operator record's eigen(), which gives its
+eigenvalues and a basis object, or phi_all_dense on any square matrix.
+TridiagonalToeplitz's basis is the sine matrix below SINE_FOLD_MIN_N; from
+there to SINE_TRANSFORM_MIN_N it is _SineFold, which keeps only the halves
+of the sine matrix that a vector's folded sum and difference multiply; from
+SINE_TRANSFORM_MIN_N up it is a DST-I formed from one complex FFT of length
+n+1. Its shifted_solver factors I - sigma A once for the matrix-free action.
 """
 
 from __future__ import annotations
@@ -548,8 +548,8 @@ class _TridiagonalSolve:
 
 
 class _MatrixBasis:
-    """Eigenvectors of a symmetric A kept as the n x n matrix Q, from `eigh`
-    or _sine_basis; each change of basis is a product with Q or Q^T."""
+    """A record's basis kept as the n x n orthogonal matrix Q, such as
+    _sine_basis; each change of basis is a product with Q or Q^T."""
 
     def __init__(self, Q: np.ndarray):
         Q.setflags(write=False)
@@ -650,12 +650,12 @@ class _SineFold:
 class PhiCache:
     """Immutable store of phi_j(c*h*A) keyed by (node c, index j), of two kinds.
 
-    With a `basis`, A = Q diag(lam) Q^T is symmetric and each entry is the
-    read-only length-n table phi_j(c*h*lam): phi_j(c*h*A) acts on basis
-    coordinates Q^T v elementwise. The basis object, from `eigh` or a
-    record's `eigen()`, changes coordinates; only a _MatrixBasis keeps Q
-    itself, as its `matrix`. Without a basis, the dense kind, each entry is
-    the read-only n x n matrix phi_j(c*h*A).
+    With a `basis`, from an operator record's `eigen()`, A = Q diag(lam) Q^T
+    and each entry is the read-only length-n table phi_j(c*h*lam):
+    phi_j(c*h*A) acts on basis coordinates Q^T v elementwise. The basis
+    object changes coordinates; only a _MatrixBasis keeps Q itself, as its
+    `matrix`. Without a basis, the dense kind for any square matrix, each
+    entry is the read-only n x n matrix phi_j(c*h*A).
     `stacks` holds each node's entries for j = 0..kmax stacked on axis 0, one
     read-only array per node; `entries` reads them by (c, j).
     `coeff` folds a phi polynomial into one entry of the same kind: it is the
@@ -712,15 +712,12 @@ class PhiCache:
         return v if self.basis is None else self.basis.from_basis(v)
 
 
-def _estimate_cache_bytes(n: int, nodes: int, kmax: int, kind: str) -> int:
-    """Bytes the build holds at its peak, roughly; kind: record, symmetric or general."""
-    if kind == "record":
+def _estimate_cache_bytes(n: int, nodes: int, kmax: int, record: bool) -> int:
+    """Bytes the build holds at its peak, roughly: a record's tables, or dense ones."""
+    if record:
         # the tables: a record's basis build is at most about 4 MiB (the sine
         # matrix and its index array below SINE_TRANSFORM_MIN_N)
         return nodes * (kmax + 1) * n * 8
-    if kind == "symmetric":
-        # A, the eigenvectors and the eigh workspace
-        return 3 * n * n * 8
     # every node's entries, and one phi_all_dense: its argument c*h*A, one
     # temporary, and the _SERIES_TERMS powers or 2(kmax+1) squaring arrays
     # (tracemalloc, 5 nodes at n=200: 61.03 n*n*8 bytes at kmax 6)
@@ -745,17 +742,17 @@ def _sine_basis(n: int, rows: slice = slice(None), cols: slice = slice(None)) ->
 def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
     """phi_0..phi_kmax(c*h*A) for every node c, computed once per (A, h).
 
-    A's kind picks the kind of cache. A symmetric A = Q diag(lam) Q^T stores
-    phi_j(c*h*lam) as a length-n table per (c, j), O(n) per entry and more
-    accurate for the stiff discrete Laplacians this cache exists for, and
-    one basis object. An operator record with an `eigen()` method, such as
-    TridiagonalToeplitz, gives (lam, basis) itself. An exactly symmetric
-    ndarray keeps the Q from `eigh`. Any other ndarray stores one dense
-    matrix per (c, j) from phi_all_dense, one node at a time, and no basis.
+    A takes one of two routes. An operator record with an `eigen()` method,
+    such as TridiagonalToeplitz, gives (lam, basis) with A = Q diag(lam) Q^T;
+    the cache stores phi_j(c*h*lam) as a length-n table per (c, j), O(n) per
+    entry and more accurate for the stiff discrete Laplacians this cache
+    exists for, and the basis object. Any square matrix, symmetric or not,
+    stores one dense matrix per (c, j) from phi_all_dense, one node at a
+    time, and no basis.
 
     Raises ValueError, before allocating, if kmax < 0 or if the estimated
     peak memory of the build exceeds CACHE_BUDGET_BYTES; later, if an entry
-    of c*h*A (general A) or of c*h*lam is not finite.
+    of c*h*A (a matrix) or of c*h*lam (a record) is not finite.
     """
     eigen = getattr(A, "eigen", None)
     A = A if eigen else _as_square_matrix(A)
@@ -770,8 +767,7 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
         raise ValueError("cache nodes must be positive")
 
     n = A.shape[0]
-    kind = "record" if eigen else "symmetric" if np.array_equal(A, A.T) else "general"
-    estimate = _estimate_cache_bytes(n, len(nodes), kmax, kind)
+    estimate = _estimate_cache_bytes(n, len(nodes), kmax, record=eigen is not None)
     if estimate > CACHE_BUDGET_BYTES:
         raise ValueError(
             f"phi cache for n={n} with {len(nodes) * (kmax + 1)} entries needs about "
@@ -782,12 +778,9 @@ def build_phi_cache(A, h: float, nodes, kmax: int) -> PhiCache:
     cache = PhiCache(kmax=kmax)
     if eigen:
         lam, cache.basis = eigen()
-    elif kind == "symmetric":
-        lam, Q = np.linalg.eigh(A)
-        cache.basis = _MatrixBasis(Q)
     for c in nodes:
-        stack = (phi_all_dense(float(c) * float(h) * A, kmax) if kind == "general"
-                 else phi_scalar_all(kmax, float(c) * float(h) * lam))
+        stack = (phi_scalar_all(kmax, float(c) * float(h) * lam) if eigen
+                 else phi_all_dense(float(c) * float(h) * A, kmax))
         stack.setflags(write=False)
         cache.stacks[c] = stack
     return cache

@@ -36,15 +36,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SemilinearProblem:
-    """u' = A u + g(t, u) with optional exact solution on a 1D grid. A is an
-    operator record such as TridiagonalToeplitz, or an n x n ndarray, the
-    matrix of apply_A: the dense path builds its phi cache from it (from a
-    record's eigen()), and the matrix-free path takes its shifted solve from
-    it (A.shifted_solver, which a TridiagonalToeplitz has and an ndarray has not)."""
+    """u' = A u + g(t, u) with optional exact solution on a 1D grid. A is the
+    operator of apply_A: the dense path builds its phi cache from a record's
+    eigen(), or from a matrix by phi_all_dense, and the matrix-free path takes
+    its shifted solve from it (A.shifted_solver, which a TridiagonalToeplitz
+    has and an ndarray has not)."""
 
     name: str
     n: int
-    A: TridiagonalToeplitz | np.ndarray
+    A: object  # a record with eigen(), or any square matrix
     apply_A: Callable[[np.ndarray], np.ndarray]
     g: Callable[[float, np.ndarray], np.ndarray]
     u0: np.ndarray

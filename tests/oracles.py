@@ -14,6 +14,9 @@ and two of the library's set-up kernels in their first form, which its
 faster ones must match bit for bit: phi_scalar_all_series_ref, the scalar
 phi kernel running the series on every argument, and
 block_weights_fraction_ref, the moment solve in Fraction arithmetic.
+EighRecord is an operator record kind that only the tests define: a
+symmetric matrix whose eigen() is numpy's eigh, so that the library's
+record route runs on an eigenbasis no package record makes.
 """
 
 import math
@@ -23,6 +26,8 @@ from itertools import permutations, product
 import mpmath
 import numpy as np
 import scipy.linalg
+
+from exprk.phi import _MatrixBasis
 
 
 def phi_ref(k: int, z: float, dps: int = 60) -> float:
@@ -96,6 +101,25 @@ def toeplitz_phi_ref(A, h: float, kmax: int) -> list[np.ndarray]:
              for k in range(1, A.n + 1)]
     Q = sine_matrix_ref(A.n)
     return [(Q * [phi_ref(j, zk) for zk in z]) @ Q for j in range(kmax + 1)]
+
+
+class EighRecord:
+    """The symmetric matrix M as an operator record: its shape and product,
+    and eigen() from np.linalg.eigh, with Q kept as a _MatrixBasis. eigh's Q
+    is in general not symmetric, so its basis changes take _MatrixBasis's
+    separate transpose, which the sine matrix never needs. Two records are
+    equal only when they are one object."""
+
+    def __init__(self, M: np.ndarray):
+        self.M = np.asarray(M, dtype=float)
+        self.shape = self.M.shape
+
+    def __matmul__(self, v):
+        return self.M @ v
+
+    def eigen(self):
+        lam, Q = np.linalg.eigh(self.M)
+        return lam, _MatrixBasis(Q)
 
 
 def phi_matrix_from_cache(cache, c, j: int) -> np.ndarray:

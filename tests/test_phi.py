@@ -29,6 +29,7 @@ from exprk.phi import (
     phi_scalar_all,
 )
 from oracles import (
+    EighRecord,
     dense_matrix,
     expm_ref,
     phi_augmented_ref,
@@ -639,11 +640,11 @@ class TestPhiCache:
                            rtol=1e-12, atol=1e-13)
 
     def test_exponential_invariant_at_index_zero(self):
-        # symmetric operator exercises the spectral path
+        # a record of a symmetric operator exercises the spectral path
         rng = np.random.default_rng(17)
         A = rng.standard_normal((8, 8))
         A = A + A.T
-        cache = build_phi_cache(A, 0.1, [Fraction(1, 2), Fraction(1)], 2)
+        cache = build_phi_cache(EighRecord(A), 0.1, [Fraction(1, 2), Fraction(1)], 2)
         for c in (Fraction(1, 2), Fraction(1)):
             want = scipy.linalg.expm(float(c) * 0.1 * A)
             got = phi_matrix_from_cache(cache, c, 0)
@@ -654,7 +655,7 @@ class TestPhiCache:
         A = rng.standard_normal((7, 7))
         A = A + A.T
         h = 0.2
-        cache = build_phi_cache(A, h, [Fraction(1, 3)], 4)
+        cache = build_phi_cache(EighRecord(A), h, [Fraction(1, 3)], 4)
         ref = phi_augmented_ref(float(Fraction(1, 3)) * h * A, 4)
         for j in range(5):
             got = phi_matrix_from_cache(cache, Fraction(1, 3), j)
@@ -700,9 +701,11 @@ class TestPhiCache:
         rng = np.random.default_rng(22)
         A = rng.standard_normal((6, 6))
         A = A + A.T
-        cache = build_phi_cache(A, 0.3, [Fraction(1, 2), Fraction(1)], 3)
+        cache = build_phi_cache(EighRecord(A), 0.3, [Fraction(1, 2), Fraction(1)], 3)
         Q = cache.basis.matrix
         assert np.allclose(Q.T @ Q, np.eye(6), atol=1e-14)
+        # eigh's Q is not symmetric: from_basis takes the kept transpose
+        assert np.array_equal(cache.basis.transpose, Q.T) and not np.array_equal(Q, Q.T)
         assert len(cache.entries) == 8
         for table in cache.entries.values():
             assert table.shape == (6,)
@@ -717,15 +720,10 @@ class TestPhiCache:
         import exprk.phi as phimod
 
         n, nodes = 16, [Fraction(1, 2), Fraction(1)]
-        symmetric = np.diag(np.arange(1.0, n + 1))
-        general = symmetric + np.triu(np.ones((n, n)), 1)
+        general = np.diag(np.arange(1.0, n + 1)) + np.triu(np.ones((n, n)), 1)
         monkeypatch.setattr(phimod, "CACHE_BUDGET_BYTES", 3 * n * n * 8)
-        assert build_phi_cache(symmetric, 0.1, nodes, 5).basis is not None
         with pytest.raises(ValueError, match=r"n=16 with 12 entries needs about \d+ bytes"):
             build_phi_cache(general, 0.1, nodes, 5)
-        monkeypatch.setattr(phimod, "CACHE_BUDGET_BYTES", 3 * n * n * 8 - 1)
-        with pytest.raises(ValueError, match=r"n=16 with 12 entries"):
-            build_phi_cache(symmetric, 0.1, nodes, 5)
 
     @pytest.mark.parametrize("kind", ["symmetric", "general"])
     def test_negative_kmax_is_refused_up_front(self, monkeypatch, kind):
@@ -739,6 +737,8 @@ class TestPhiCache:
         A = np.diag([-2.0, -1.0, 0.5])
         if kind == "general":
             A[0, 2] = 1.0
+        else:  # the record route
+            A = EighRecord(A)
         with pytest.raises(ValueError, match="kmax must be >= 0"):
             build_phi_cache(A, 0.1, [Fraction(1)], -1)
 
@@ -778,8 +778,8 @@ def test_tridiagonal_toeplitz_product_is_the_dense_product(n):
 
 
 class TestClosedFormBasis:
-    """A TridiagonalToeplitz record takes the sine eigenvectors; a symmetric
-    ndarray takes eigh."""
+    """A TridiagonalToeplitz record takes the sine eigenvectors; an ndarray,
+    symmetric or not, takes the general path, and nothing calls eigh."""
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
@@ -814,17 +814,20 @@ class TestClosedFormBasis:
         for c in (Fraction(1, 3), Fraction(1)):
             assert _phi_all_dense_gap(cache, dense_matrix(A), h, c, 3) <= 1e-12
 
-    def test_near_misses_take_eigh(self, eigh_calls):
-        n, h = 16, 0.1
+    def test_near_misses_take_the_general_path(self, eigh_calls):
+        # symmetric ndarrays that are almost tridiagonal Toeplitz
+        n, h, nodes = 16, 0.1, [Fraction(1, 3), Fraction(1)]
         diagonal = _tridiagonal(n, -3.0, 1.0)
         diagonal[5, 5] += 1e-3
         corner = _tridiagonal(n, -3.0, 1.0)
         corner[0, n - 1] = corner[n - 1, 0] = 1.0
         for A in (diagonal, corner):
-            cache = build_phi_cache(A, h, [Fraction(1, 3), Fraction(1)], 3)
-            for c in (Fraction(1, 3), Fraction(1)):
-                assert _phi_all_dense_gap(cache, A, h, c, 3) <= 1e-12
-        assert eigh_calls == [(n, n), (n, n)]
+            cache = build_phi_cache(A, h, nodes, 3)
+            assert cache.basis is None
+            for c in nodes:
+                for j, ref in enumerate(phi_all_dense(float(c) * h * A, 3)):
+                    assert np.array_equal(phi_matrix_from_cache(cache, c, j), ref)
+        assert eigh_calls == []
 
     def test_nonsymmetric_toeplitz_takes_the_general_path(self, eigh_calls):
         n, h, nodes = 16, 0.1, [Fraction(1, 3), Fraction(1)]

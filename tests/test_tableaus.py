@@ -17,7 +17,7 @@ from exprk.tableaus import (
     make_exprk6s16,
     scheme_by_name,
 )
-from oracles import block_weights_fraction_ref
+from oracles import EighRecord, block_weights_fraction_ref
 
 
 def _poly_at(poly, z):
@@ -354,13 +354,13 @@ class TestEvalCoeff:
     """Scheme coefficients evaluated by PhiCache.coeff."""
 
     def test_identity_on_zero_operator(self):
-        cache = build_phi_cache(np.zeros((3, 3)), 1.0, [F(1)], 1)
+        cache = build_phi_cache(EighRecord(np.zeros((3, 3))), 1.0, [F(1)], 1)
         poly = PhiPoly.make(1, {1: 1})
         assert np.allclose(_coeff_matrix(cache, poly), np.eye(3), atol=1e-15)
 
     def test_rho_row_at_zero_matches_rationals(self, s15):
         # phi_j(0) = 1/j! turns each row into its exact rational value
-        cache = build_phi_cache(np.zeros((2, 2)), 1.0, s15.nodes_used, 5)
+        cache = build_phi_cache(EighRecord(np.zeros((2, 2))), 1.0, s15.nodes_used, 5)
         for col in (5, 6, 7):
             poly = s15.a[(8, col)]
             got = _coeff_matrix(cache, poly)
@@ -369,7 +369,7 @@ class TestEvalCoeff:
     def test_mu_row_spectral_oracle_on_diagonal_matrix(self, s15):
         diag = np.diag([-2.0, -0.5, 1.0])
         h = 0.8
-        cache = build_phi_cache(diag, h, s15.nodes_used, 5)
+        cache = build_phi_cache(EighRecord(diag), h, s15.nodes_used, 5)
         poly = s15.a[(12, 9)]
         got = _coeff_matrix(cache, poly)
         want = np.diag([_poly_at(poly, h * d) for d in np.diag(diag)])
